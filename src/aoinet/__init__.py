@@ -42,13 +42,13 @@ from .sampler import (
     estimate,
     fold_estimate,
     sample_ages,
-    sample_target_ages,
 )
 from .simulator import (
     SimConfig,
     SimResult,
     equal_age_fraction,
     simulate,
+    subset_time_average,
     time_average,
     time_average_stderr,
     violation_fraction,
@@ -86,9 +86,9 @@ __all__ = [
     "mgf_convergence_bound",
     "parse_network",
     "sample_ages",
-    "sample_target_ages",
     "serial_cascade_age",
     "simulate",
+    "subset_time_average",
     "time_average",
     "time_average_stderr",
     "triangle_age",

@@ -13,6 +13,7 @@ import argparse
 import csv as csv_mod
 import io
 import json
+import math
 import secrets
 import sys
 
@@ -54,6 +55,32 @@ def _subset_name(net, mask: int) -> str:
     if len(labels) == 1:
         return labels[0]
     return "{" + ",".join(labels) + "}"
+
+
+def _arg_type(convert, ok, want: str):
+    """An argparse ``type`` that refuses values ``ok`` rejects."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"want {want}, got {text!r}")
+        return value
+
+    return parse
+
+
+_COUNT = _arg_type(int, lambda x: x >= 1, "an integer >= 1")
+_SEED = _arg_type(int, lambda x: 0 <= x < 1 << 64, "an integer in [0, 2**64)")
+_FRACTION = _arg_type(float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
+_REAL = _arg_type(float, math.isfinite, "a finite number")
+_THRESHOLD = _arg_type(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+
+
+def _thresholds(text: str) -> list[float]:
+    return [_THRESHOLD(x) for x in text.split(",")]
 
 
 def _row(target, method, value, stderr=None, **meta):
@@ -131,6 +158,10 @@ def cmd_cdf(args):
         start, stop, step = (float(x) for x in args.d_grid.split(":"))
     except ValueError as exc:
         raise AoiError(f"bad --d-grid {args.d_grid!r}, want START:STOP:STEP") from exc
+    if not (0.0 <= start <= stop < math.inf and 0.0 < step < math.inf):
+        raise AoiError(
+            f"bad --d-grid {args.d_grid!r}, want finite 0 <= START <= STOP, STEP > 0"
+        )
     grid = np.arange(start, stop + step * 0.5, step)
     rows = []
     if args.method == "inversion":
@@ -184,9 +215,7 @@ def cmd_sample(args):
 def cmd_simulate(args):
     net = _load_network(args.net)
     seed = _seed_of(args)
-    thresholds = (
-        [float(x) for x in args.thresholds.split(",")] if args.thresholds else []
-    )
+    thresholds = args.thresholds or []
     cfg = sim_mod.SimConfig(
         total_events=args.events,
         master_seed=seed,
@@ -240,9 +269,6 @@ def cmd_compare(args):
     batch = sampler_mod.sample_ages(net, args.samples, sampler_mod.RngPolicy(seed))
     samp, samp_se = sampler_mod.estimate(batch, mask, sampler_mod.Functional.mean())
 
-    # subsets need per-replicate minima; the simulator reports singleton
-    # trajectories, so compare uses the min over per-node integrals only
-    # for singletons and the exact subset for multi-node targets
     cfg = sim_mod.SimConfig(total_events=args.events, master_seed=seed)
     res = sim_mod.simulate(net, cfg)
     labels = net.subset_labels(mask)
@@ -250,8 +276,7 @@ def cmd_compare(args):
         sim_val = sim_mod.time_average(res, labels[0])
         sim_se = sim_mod.time_average_stderr(res, labels[0])
     else:
-        # time average of the subset minimum, via the birth logs
-        sim_val, sim_se = _subset_time_average(res, net, mask)
+        sim_val, sim_se = sim_mod.subset_time_average(res, mask)
 
     gate_sampler = abs(samp - exact_val) <= 4.0 * samp_se
     gate_sim = abs(sim_val - exact_val) <= 4.0 * sim_se
@@ -269,36 +294,6 @@ def cmd_compare(args):
             sigma=4,
         ),
     ]
-
-
-def _subset_time_average(res, net, mask):
-    """Time average of min over subset nodes, from the birth change logs."""
-    idx = [i for i in range(net.n_user) if mask >> i & 1]
-    cuts = np.unique(
-        np.concatenate(
-            [res.change_times[i] for i in idx] + [[res.window_start, res.end_time]]
-        )
-    )
-    cuts = cuts[(cuts >= res.window_start) & (cuts <= res.end_time)]
-    births = np.maximum.reduce(
-        [sim_mod._birth_at(res, i, cuts[:-1]) for i in idx]
-    )
-    a1 = cuts[:-1] - births
-    a2 = cuts[1:] - births
-    integral = float(np.sum(a2 * a2 - a1 * a1) / 2.0)
-    mean = integral / res.window_length
-    # batch means over the same cuts
-    bounds = np.linspace(res.window_start, res.end_time, sim_mod.N_BATCHES + 1)
-    means = []
-    for j in range(sim_mod.N_BATCHES):
-        s = np.maximum(cuts[:-1], bounds[j])
-        e = np.minimum(cuts[1:], bounds[j + 1])
-        ok = e > s
-        x1 = s[ok] - births[ok]
-        x2 = e[ok] - births[ok]
-        means.append(float(np.sum(x2 * x2 - x1 * x1) / 2.0 / (bounds[j + 1] - bounds[j])))
-    means = np.array(means)
-    return mean, float(means.std(ddof=1) / np.sqrt(sim_mod.N_BATCHES))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,39 +322,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mgf", cmd_mgf, help="E[exp(s*age)] at a real s")
     p.add_argument("--node", required=True)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_REAL, required=True)
 
     p = add("cdf", cmd_cdf, help="CDF values over a threshold grid")
     p.add_argument("--node", required=True)
     p.add_argument("--d-grid", required=True, metavar="START:STOP:STEP")
     p.add_argument("--method", choices=["inversion", "sample"], default="inversion")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=_COUNT)
+    p.add_argument("--seed", type=_SEED)
 
     p = add("chernoff", cmd_chernoff, help="Chernoff tail bound")
     p.add_argument("--node", required=True)
-    p.add_argument("--d", type=float, required=True)
+    p.add_argument("--d", type=_THRESHOLD, required=True)
 
     p = add("sample", cmd_sample, help="Monte Carlo shortest-path sampling")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--samples", type=_COUNT, required=True)
+    p.add_argument("--seed", type=_SEED)
+    p.add_argument("--workers", type=_COUNT, default=1)
     p.add_argument("--dump-csv", metavar="FILE")
 
     p = add("simulate", cmd_simulate, help="discrete-event ground truth")
-    p.add_argument("--events", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--burn-in", type=float, default=0.1)
-    p.add_argument("--thresholds", metavar="d1,d2,...")
+    p.add_argument("--events", type=_COUNT, required=True)
+    p.add_argument("--seed", type=_SEED)
+    p.add_argument("--burn-in", type=_FRACTION, default=0.1)
+    p.add_argument("--thresholds", type=_thresholds, metavar="d1,d2,...")
     p.add_argument("--trace", metavar="FILE")
 
     add("cascade", cmd_cascade, help="chain-of-blocks exact averages")
 
     p = add("compare", cmd_compare, help="cross-method agreement check")
     p.add_argument("--node", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--events", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=_COUNT, required=True)
+    p.add_argument("--events", type=_COUNT, required=True)
+    p.add_argument("--seed", type=_SEED)
 
     return parser
 

@@ -17,6 +17,10 @@ class NonPositiveRate(NetworkValidationError):
     pass
 
 
+class NonFiniteRate(NetworkValidationError):
+    pass
+
+
 class SelfLoop(NetworkValidationError):
     pass
 

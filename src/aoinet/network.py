@@ -3,10 +3,11 @@
 The user describes a weighted directed graph with a designated source and a
 Poisson generation rate ``lambda``.  Validation checks the single-source
 requirements (unique in-degree-zero node, full reachability from it, no self
-loops, positive rates), merges parallel edges by summing their rates, and then
-augments the graph with a virtual node feeding the source through an edge of
-rate ``lambda``.  Every engine operates on the resulting
-:class:`AugmentedNetwork`, which is immutable after construction.
+loops, positive finite rates and a finite total rate), merges parallel edges
+by summing their rates, and then augments the graph with a virtual node
+feeding the source through an edge of rate ``lambda``.  Every engine operates
+on the resulting :class:`AugmentedNetwork`, which is immutable after
+construction.
 
 Node indexing: user nodes get dense indices in order of appearance; the
 virtual node always gets the highest index, so bitmasks over user nodes form
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +26,7 @@ from .errors import (
     EmptySubset,
     MalformedNetwork,
     MultipleSources,
+    NonFiniteRate,
     NonPositiveRate,
     SelfLoop,
     SourceHasIncomingEdge,
@@ -79,8 +82,6 @@ class AugmentedNetwork:
     total_rate: float
     fingerprint: str
     index_of: dict[str, int] = field(repr=False)
-    in_edges: tuple[tuple[int, ...], ...] = field(repr=False)
-    out_edges: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def n_user(self) -> int:
@@ -159,11 +160,8 @@ def parse_network(text: str) -> NetworkSpec:
             raise MalformedNetwork(f"edge #{i} endpoints must be string labels")
         if not isinstance(rate, (int, float)) or isinstance(rate, bool):
             raise MalformedNetwork(f"edge #{i} rate must be a number")
-        if not rate > 0:
-            raise NonPositiveRate(
-                f"edge ({frm!r} -> {to!r}) has non-positive rate {rate}"
-            )
-        edges.append(EdgeSpec(frm, to, float(rate)))
+        what = f"rate of edge ({frm!r} -> {to!r})"
+        edges.append(EdgeSpec(frm, to, _check_rate(rate, what)))
 
     if "nodes" in doc:
         nodes = doc["nodes"]
@@ -182,7 +180,22 @@ def parse_network(text: str) -> NetworkSpec:
                 seen.add(name)
                 node_order.append(name)
 
-    return NetworkSpec(tuple(node_order), tuple(edges), source, float(lam))
+    return NetworkSpec(
+        tuple(node_order), tuple(edges), source, _check_rate(lam, "lambda")
+    )
+
+
+def _check_rate(rate: float, what: str) -> float:
+    """``rate`` as a float, refusing non-finite and non-positive values."""
+    try:
+        value = float(rate)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise NonFiniteRate(f"{what} overflows a float") from exc
+    if not math.isfinite(value):
+        raise NonFiniteRate(f"{what} must be finite, got {value}")
+    if not value > 0:
+        raise NonPositiveRate(f"{what} must be positive, got {value}")
+    return value
 
 
 def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetwork:
@@ -193,8 +206,7 @@ def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetw
     mu1 + mu2, so the network law is unchanged); a warning is emitted.
     Idempotent: re-validating the ``base`` of the result is a no-op.
     """
-    if not spec.lam > 0:
-        raise NonPositiveRate(f"lambda must be positive, got {spec.lam}")
+    _check_rate(spec.lam, "lambda")
     if spec.source not in spec.nodes:
         raise MalformedNetwork(f"source {spec.source!r} not among nodes")
     if len(set(spec.nodes)) != len(spec.nodes):
@@ -212,10 +224,7 @@ def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetw
             )
         if e.frm == e.to:
             raise SelfLoop(f"self loop at node {e.frm!r}")
-        if not e.rate > 0:
-            raise NonPositiveRate(
-                f"edge ({e.frm!r} -> {e.to!r}) has non-positive rate {e.rate}"
-            )
+        _check_rate(e.rate, f"rate of edge ({e.frm!r} -> {e.to!r})")
         key = (e.frm, e.to)
         if key in merged:
             merged[key] += e.rate
@@ -275,11 +284,9 @@ def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetw
     heads.append(index_of[spec.source])
     rates.append(spec.lam)
 
-    in_edges = [[] for _ in range(n + 1)]
-    out_edges = [[] for _ in range(n + 1)]
-    for e, (u, v) in enumerate(zip(tails, heads)):
-        out_edges[u].append(e)
-        in_edges[v].append(e)
+    total_rate = float(sum(rates))
+    if not math.isfinite(total_rate):
+        raise NonFiniteRate(f"total rate overflows to {total_rate}")
 
     canonical = {
         "lambda": spec.lam,
@@ -307,11 +314,9 @@ def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetw
         edge_tails=tuple(tails),
         edge_heads=tuple(heads),
         edge_rates=tuple(rates),
-        total_rate=float(sum(rates)),
+        total_rate=total_rate,
         fingerprint=fingerprint,
         index_of=index_of,
-        in_edges=tuple(tuple(x) for x in in_edges),
-        out_edges=tuple(tuple(x) for x in out_edges),
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -116,11 +117,10 @@ class Functional:
         raise ValueError(f"unknown functional kind {self.kind!r}")
 
 
-def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    # boundaries on multiples of 4 so per-edge streams can be advanced
-    per = -(-n // max(workers, 1))
-    per = (per + 3) // 4 * 4
-    return [(s, min(s + per, n)) for s in range(0, n, per)]
+# Replicates per chunk.  A multiple of 4, so each edge stream can be advanced
+# to a chunk's start.  Sampling 1M replicates of an 8-node network on a
+# 2-vCPU Xeon, 2**15 and 2**16 timed faster than 2**17 and 2**18.
+CHUNK = 1 << 16
 
 
 def _relax_distances(net: AugmentedNetwork, service: np.ndarray) -> np.ndarray:
@@ -133,50 +133,46 @@ def _relax_distances(net: AugmentedNetwork, service: np.ndarray) -> np.ndarray:
     n = service.shape[1]
     dist = np.full((net.n_aug, n), np.inf)
     dist[net.theta_prime_index] = 0.0
+    cand = np.empty(n)
+    better = np.empty(n, dtype=bool)
     edges = list(zip(net.edge_tails, net.edge_heads))
     for _ in range(net.n_aug - 1):
         changed = False
         for e, (u, v) in enumerate(edges):
-            cand = dist[u] + service[e]
-            better = cand < dist[v]
+            np.add(dist[u], service[e], out=cand)
+            # skip the write when no replicate improves; a round without
+            # any improvement is the fixpoint
+            np.less(cand, dist[v], out=better)
             if better.any():
-                dist[v][better] = cand[better]
+                np.minimum(dist[v], cand, out=dist[v])
                 changed = True
         if not changed:
             break
     return dist
 
 
-def dijkstra_single(
-    net: AugmentedNetwork,
-    service: np.ndarray,
-    target: int | None = None,
-) -> np.ndarray:
-    """Binary-heap Dijkstra for one replicate's weights (shape (E,)).
+def _chunks(
+    net: AugmentedNetwork, rng: RngPolicy, n: int, workers: int = 1
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, dist)`` for replicates ``0 .. n`` in fixed chunks, in order.
 
-    With ``target`` set, stops as soon as the target is settled; unsettled
-    nodes keep distance inf.  Ties break by node index for determinism.
+    ``dist`` has shape (|V|, count).  Chunk boundaries do not depend on
+    ``workers``, which only spreads the chunks over threads.
     """
-    import heapq
 
-    dist = np.full(net.n_aug, np.inf)
-    dist[net.theta_prime_index] = 0.0
-    done = [False] * net.n_aug
-    heap = [(0.0, net.theta_prime_index)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == target:
-            break
-        for e in net.out_edges[u]:
-            v = net.edge_heads[e]
-            nd = d + service[e]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+    def run(start: int) -> tuple[int, np.ndarray]:
+        count = min(CHUNK, n - start)
+        service = np.empty((len(net.edge_rates), count))
+        for e, rate in enumerate(net.edge_rates):
+            service[e] = rng.edge_exponentials(net.edge_key(e), rate, start, count)
+        return start, _relax_distances(net, service)[: net.n_user]
+
+    starts = range(0, n, CHUNK)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(run, starts)
+    else:
+        yield from map(run, starts)
 
 
 def sample_ages(
@@ -184,50 +180,17 @@ def sample_ages(
 ) -> SampleBatch:
     """Draw ``n`` replicates of the per-node age vector.
 
-    O(n (|E| + |V|) log |V|) overall; the result is bit-identical for any
-    ``workers`` value (replicate ranges are fixed stream offsets).
+    Each replicate takes at most |V| Bellman-Ford rounds over the |E| edges,
+    so O(n |V| |E|) overall; rounds stop once no distance improves.  The
+    result is bit-identical for any ``workers`` value (replicate ranges are
+    fixed stream offsets).
     """
     if n < 1:
         raise ValueError("replicate count must be >= 1")
     ages = np.empty((n, net.n_user))
-    ranges = _chunk_ranges(n, workers)
-
-    def fill(span: tuple[int, int]) -> None:
-        s, e = span
-        ages[s:e] = _sample_chunk(net, rng, s, e - s).T
-
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, ranges))
-    else:
-        for span in ranges:
-            fill(span)
+    for start, dist in _chunks(net, rng, n, workers):
+        ages[start : start + dist.shape[1]] = dist.T
     return SampleBatch(ages=ages, n=n, rng=rng, network_hash=net.fingerprint)
-
-
-def _sample_chunk(
-    net: AugmentedNetwork, rng: RngPolicy, start: int, count: int
-) -> np.ndarray:
-    service = np.empty((len(net.edge_rates), count))
-    for e, rate in enumerate(net.edge_rates):
-        service[e] = rng.edge_exponentials(net.edge_key(e), rate, start, count)
-    return _relax_distances(net, service)[: net.n_user]
-
-
-def sample_target_ages(
-    net: AugmentedNetwork, n: int, rng: RngPolicy, target: str
-) -> np.ndarray:
-    """Ages of a single node, with Dijkstra stopped once it is settled."""
-    if n < 1:
-        raise ValueError("replicate count must be >= 1")
-    t = net.index_of[target]
-    out = np.empty(n)
-    service = np.empty((len(net.edge_rates), n))
-    for e, rate in enumerate(net.edge_rates):
-        service[e] = rng.edge_exponentials(net.edge_key(e), rate, 0, n)
-    for i in range(n):
-        out[i] = dijkstra_single(net, service[:, i], target=t)[t]
-    return out
 
 
 def _subset_ages(batch: SampleBatch, a: int) -> np.ndarray:
@@ -260,12 +223,7 @@ def empirical_cdf(batch: SampleBatch, a: int, d: float) -> float:
 
 
 def fold_estimate(
-    net: AugmentedNetwork,
-    n: int,
-    rng: RngPolicy,
-    a: int,
-    f: Functional,
-    chunk_size: int = 1 << 18,
+    net: AugmentedNetwork, n: int, rng: RngPolicy, a: int, f: Functional
 ) -> tuple[float, float]:
     """Streaming (constant-memory) version of sample + estimate.
 
@@ -275,13 +233,10 @@ def fold_estimate(
     check_subset(net, a)
     if n < 1:
         raise ValueError("replicate count must be >= 1")
-    chunk_size = max(4, chunk_size // 4 * 4)
     total = 0.0
     total_sq = 0.0
     cols = [i for i in range(net.n_user) if a >> i & 1]
-    for start in range(0, n, chunk_size):
-        count = min(chunk_size, n - start)
-        dist = _sample_chunk(net, rng, start, count)
+    for _, dist in _chunks(net, rng, n):
         vals = f.apply(dist[cols].min(axis=0))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())

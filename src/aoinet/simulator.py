@@ -15,13 +15,14 @@ may execute in parallel.  Results are immutable.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyWindow, ThresholdNotRequested
+from .errors import EmptySubset, EmptyWindow, ThresholdNotRequested
 from .network import AugmentedNetwork
 
 N_BATCHES = 32  # batch-means error bars over the post-burn-in window
@@ -65,6 +66,46 @@ class SimResult:
         return int(v)
 
 
+def _integrate(
+    starts: np.ndarray,
+    births: np.ndarray,
+    t0: float,
+    t_end: float,
+    thresholds: tuple[float, ...],
+) -> tuple[float, float, list[float], np.ndarray]:
+    """Exact integrals of one piecewise-linear age trajectory over [t0, t_end].
+
+    Segment i runs from ``starts[i]`` to the next start (the last one to
+    ``t_end``) with age ``t - births[i]``.  Returns the integral of the age,
+    of its square, the time at or above each threshold, and the
+    ``N_BATCHES`` batch means.
+    """
+    ends = np.append(starts[1:], t_end)
+    s = np.maximum(starts, t0)
+    e = np.minimum(ends, t_end)
+    keep = e > s
+    s, e, b = s[keep], e[keep], births[keep]
+    a1 = s - b
+    a2 = e - b
+    integral = np.sum(a2 * a2 - a1 * a1) / 2.0
+    integral_sq = np.sum(a2 ** 3 - a1 ** 3) / 3.0
+    occupancy = [
+        np.sum(np.maximum(0.0, e - np.maximum(s, b + d))) for d in thresholds
+    ]
+    batch_means = np.zeros(N_BATCHES)
+    if t_end > t0:
+        bounds = np.linspace(t0, t_end, N_BATCHES + 1)
+        for j in range(N_BATCHES):
+            bs = np.maximum(s, bounds[j])
+            be = np.minimum(e, bounds[j + 1])
+            ok = be > bs
+            x1 = bs[ok] - b[ok]
+            x2 = be[ok] - b[ok]
+            width = bounds[j + 1] - bounds[j]
+            batch_means[j] = np.sum(x2 * x2 - x1 * x1) / 2.0 / width
+    return integral, integral_sq, occupancy, batch_means
+
+
 def simulate(
     net: AugmentedNetwork,
     cfg: SimConfig,
@@ -104,50 +145,47 @@ def simulate(
     times_list = times.tolist()
     picks_list = picks.tolist()
 
-    trace = None
-    trace_file = None
-    if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="")
-        trace = csv.writer(trace_file)
-        trace.writerow(["event", "time", "edge"] + list(net.node_names))
-
     ages_dbg = init.copy() if check_invariants else None
     last_t = 0.0
-    for i in range(n_events):
-        e = picks_list[i]
-        t = times_list[i]
-        w = heads[e]
-        if e == virtual_edge:
-            nb = t  # source resets to age zero
-        else:
-            bu = birth[tails[e]]
-            bw = birth[w]
-            nb = bu if bu > bw else bw
-        if check_invariants:
-            gap = t - last_t
-            prev_w = ages_dbg[w]
-            expected = ages_dbg + gap  # non-receiving nodes grow by the gap
+    with contextlib.ExitStack() as stack:
+        trace = None
+        if trace_path is not None:
+            fh = stack.enter_context(open(trace_path, "w", newline=""))
+            trace = csv.writer(fh)
+            trace.writerow(["event", "time", "edge"] + list(net.node_names))
+        for i in range(n_events):
+            e = picks_list[i]
+            t = times_list[i]
+            w = heads[e]
             if e == virtual_edge:
-                expected[w] = 0.0
+                nb = t  # source resets to age zero
             else:
-                expected[w] = min(ages_dbg[tails[e]], ages_dbg[w]) + gap
-                assert expected[w] <= prev_w + gap + 1e-9
-            ages_dbg = expected
-            got = t - np.array([nb if v == w else birth[v] for v in range(n)])
-            assert np.allclose(got, expected), "birth bookkeeping diverged"
-            last_t = t
-        if nb != birth[w]:
-            birth[w] = nb
-            change_times[w].append(t)
-            change_births[w].append(nb)
-        if trace is not None:
-            u_label, v_label = net.edge_key(e)
-            trace.writerow(
-                [i, f"{t:.9g}", f"{u_label}->{v_label}"]
-                + [f"{t - birth[v]:.9g}" for v in range(n)]
-            )
-    if trace_file is not None:
-        trace_file.close()
+                bu = birth[tails[e]]
+                bw = birth[w]
+                nb = bu if bu > bw else bw
+            if check_invariants:
+                gap = t - last_t
+                prev_w = ages_dbg[w]
+                expected = ages_dbg + gap  # non-receiving nodes grow by the gap
+                if e == virtual_edge:
+                    expected[w] = 0.0
+                else:
+                    expected[w] = min(ages_dbg[tails[e]], ages_dbg[w]) + gap
+                    assert expected[w] <= prev_w + gap + 1e-9
+                ages_dbg = expected
+                got = t - np.array([nb if v == w else birth[v] for v in range(n)])
+                assert np.allclose(got, expected), "birth bookkeeping diverged"
+                last_t = t
+            if nb != birth[w]:
+                birth[w] = nb
+                change_times[w].append(t)
+                change_births[w].append(nb)
+            if trace is not None:
+                u_label, v_label = net.edge_key(e)
+                trace.writerow(
+                    [i, f"{t:.9g}", f"{u_label}->{v_label}"]
+                    + [f"{t - birth[v]:.9g}" for v in range(n)]
+                )
 
     burn = int(math.floor(cfg.burn_in_fraction * n_events))
     t0 = times_list[burn - 1] if burn > 0 else 0.0
@@ -162,31 +200,12 @@ def simulate(
     integral_sq = np.zeros(n)
     occupancy = {d: np.zeros(n) for d in thresholds}
     batch_means = np.zeros((N_BATCHES, n))
-    bounds = np.linspace(t0, t_end, N_BATCHES + 1)
-
     for v in range(n):
-        starts = cts[v]
-        ends = np.append(starts[1:], t_end)
-        births = cbs[v]
-        s = np.maximum(starts, t0)
-        e = np.minimum(ends, t_end)
-        keep = e > s
-        s, e, b = s[keep], e[keep], births[keep]
-        a1 = s - b
-        a2 = e - b
-        integral[v] = np.sum(a2 * a2 - a1 * a1) / 2.0
-        integral_sq[v] = np.sum(a2 ** 3 - a1 ** 3) / 3.0
-        for d in thresholds:
-            occupancy[d][v] = np.sum(np.maximum(0.0, e - np.maximum(s, b + d)))
-        if window > 0:
-            for j in range(N_BATCHES):
-                bs = np.maximum(s, bounds[j])
-                be = np.minimum(e, bounds[j + 1])
-                ok = be > bs
-                x1 = bs[ok] - b[ok]
-                x2 = be[ok] - b[ok]
-                width = bounds[j + 1] - bounds[j]
-                batch_means[j, v] = np.sum(x2 * x2 - x1 * x1) / 2.0 / width
+        integral[v], integral_sq[v], occ, batch_means[:, v] = _integrate(
+            cts[v], cbs[v], t0, t_end, thresholds
+        )
+        for d, x in zip(thresholds, occ):
+            occupancy[d][v] = x
 
     return SimResult(
         node_names=net.node_names,
@@ -211,12 +230,15 @@ def time_average(res: SimResult, v) -> float:
     return float(res.integral_age[res.node_index(v)] / res.window_length)
 
 
+def _batch_stderr(batch_means: np.ndarray) -> float:
+    return float(batch_means.std(ddof=1) / math.sqrt(N_BATCHES))
+
+
 def time_average_stderr(res: SimResult, v) -> float:
     """Batch-means standard error of the time-averaged age."""
     if res.window_length <= 0 or res.events_used <= 0:
         raise EmptyWindow("no events after burn-in")
-    col = res.batch_means[:, res.node_index(v)]
-    return float(col.std(ddof=1) / math.sqrt(N_BATCHES))
+    return _batch_stderr(res.batch_means[:, res.node_index(v)])
 
 
 def violation_fraction(res: SimResult, v, d: float) -> float:
@@ -231,6 +253,24 @@ def violation_fraction(res: SimResult, v, d: float) -> float:
     return float(res.occupancy[d][res.node_index(v)] / res.window_length)
 
 
+def subset_time_average(res: SimResult, mask: int) -> tuple[float, float]:
+    """Time-averaged age of a node subset, with its batch-means stderr.
+
+    The subset's age is the minimum over its nodes, so its birth at any time
+    is the maximum of theirs; it changes only at their change points.
+    """
+    if res.window_length <= 0 or res.events_used <= 0:
+        raise EmptyWindow("no events after burn-in")
+    idx = [i for i in range(len(res.node_names)) if mask >> i & 1]
+    if not idx:
+        raise EmptySubset("subset must be non-empty")
+    cuts, births = _merged_births(res, idx)
+    integral, _, _, batch_means = _integrate(
+        cuts[:-1], np.maximum.reduce(births), res.window_start, res.end_time, ()
+    )
+    return float(integral / res.window_length), _batch_stderr(batch_means)
+
+
 def equal_age_fraction(res: SimResult, u, v) -> float:
     """Fraction of window time during which two nodes share the exact age.
 
@@ -239,27 +279,27 @@ def equal_age_fraction(res: SimResult, u, v) -> float:
     """
     if res.window_length <= 0:
         raise EmptyWindow("no events after burn-in")
-    ui = res.node_index(u)
-    vi = res.node_index(v)
-    cuts = np.unique(
-        np.concatenate(
-            [
-                res.change_times[ui],
-                res.change_times[vi],
-                [res.window_start, res.end_time],
-            ]
-        )
-    )
-    cuts = cuts[(cuts >= res.window_start) & (cuts <= res.end_time)]
-    if len(cuts) < 2:
-        return 0.0
-    mids = cuts[:-1]
+    cuts, (bu, bv) = _merged_births(res, [res.node_index(u), res.node_index(v)])
     widths = np.diff(cuts)
-    bu = _birth_at(res, ui, mids)
-    bv = _birth_at(res, vi, mids)
     return float(widths[bu == bv].sum() / res.window_length)
 
 
-def _birth_at(res: SimResult, v: int, t: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(res.change_times[v], t, side="right") - 1
-    return res.change_births[v][idx]
+def _merged_births(
+    res: SimResult, idx: list[int]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Merged window change points of nodes ``idx``, and their births.
+
+    ``births[k][j]`` is node ``idx[k]``'s birth from ``cuts[j]`` to
+    ``cuts[j + 1]``.
+    """
+    cuts = np.unique(
+        np.concatenate(
+            [res.change_times[i] for i in idx] + [[res.window_start, res.end_time]]
+        )
+    )
+    cuts = cuts[(cuts >= res.window_start) & (cuts <= res.end_time)]
+    births = []
+    for i in idx:
+        k = np.searchsorted(res.change_times[i], cuts[:-1], side="right") - 1
+        births.append(res.change_births[i][k])
+    return cuts, births

@@ -309,3 +309,80 @@ def test_compare_subset_target(capsys, tri_file):
     rows = {r["method"]: r for r in rows_of(out)}
     assert rows["exact"]["value"] == pytest.approx(1.5)
     assert rows["verdict"]["value"] == 1.0
+
+
+def _doc(lam, rates):
+    edges = ", ".join(
+        f'{{"from": "{f}", "to": "{t}", "rate": {r}}}'
+        for (f, t), r in zip([("s", "v"), ("v", "d"), ("s", "d")], rates)
+    )
+    return f'{{"lambda": {lam}, "source": "s", "edges": [{edges}]}}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _doc("Infinity", [1, 1, 1]),
+        _doc("-Infinity", [1, 1, 1]),
+        _doc("NaN", [1, 1, 1]),
+        _doc(1, ["Infinity", 1, 1]),
+        _doc(1, ["-Infinity", 1, 1]),
+        _doc(1, ["NaN", 1, 1]),
+        _doc(1, ["1e400", 1, 1]),  # parses to a float infinity
+        _doc(1, [10**400, 1, 1]),  # an integer no float can hold
+        _doc(1, [1e308, 1e308, 1]),  # finite rates, infinite total rate
+        _doc(1e308, [1e308, 1, 1]),
+    ],
+    ids=[
+        "lambda-inf",
+        "lambda-minus-inf",
+        "lambda-nan",
+        "rate-inf",
+        "rate-minus-inf",
+        "rate-nan",
+        "rate-1e400",
+        "rate-huge-int",
+        "total-of-rates",
+        "total-with-lambda",
+    ],
+)
+def test_non_finite_rates_refused(capsys, tmp_path, text):
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "exact", "--net", str(path), "--all")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and ("finite" in err or "overflow" in err)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        ("sample --samples 0", 2),
+        ("sample --samples 10 --workers 0", 2),
+        ("sample --samples 10 --seed -1", 2),
+        (f"sample --samples 10 --seed {1 << 64}", 2),
+        ("simulate --events 0", 2),
+        ("simulate --events 10 --seed -1", 2),
+        ("simulate --events 10 --burn-in 1.0", 2),
+        ("simulate --events 10 --burn-in nan", 2),
+        ("simulate --events 10 --thresholds 1,x", 2),
+        ("simulate --events 10 --thresholds nan", 2),
+        ("compare --node d --samples 0 --events 10", 2),
+        ("compare --node d --samples 10 --events 0", 2),
+        ("chernoff --node d --d -1", 2),
+        ("chernoff --node d --d nan", 2),
+        ("mgf --node d --s nan", 2),
+        ("cdf --node d --d-grid 0:4:0", 1),
+        ("cdf --node d --d-grid 4:0:1", 1),
+        ("cdf --node d --d-grid=-1:1:1", 1),
+        ("cdf --node d --d-grid 0:inf:1", 1),
+        ("cdf --node d --d-grid 0:1:1 --method sample --samples 0", 2),
+    ],
+)
+def test_bad_arguments_refused(capsys, tri_file, args, code):
+    command, *rest = args.split()
+    got, out, err = run_cli(capsys, command, "--net", tri_file, *rest)
+    assert got == code
+    assert out == ""
+    assert "error:" in err

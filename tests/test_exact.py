@@ -5,7 +5,7 @@ import pytest
 
 import aoinet as a
 from aoinet import errors
-from aoinet.sampler import _sample_chunk
+from aoinet.sampler import _chunks
 from conftest import build_net, random_ssn, serial, triangle, two_node
 
 
@@ -260,13 +260,9 @@ class TestStructuralProperties:
         masks = list(range(1, 1 << net.n_user))
         cols = {m: [i for i in range(net.n_user) if m >> i & 1] for m in masks}
         n = 10_000_000
-        chunk = 1 << 19
         sums = {m: 0.0 for m in masks}
         sums_sq = {m: 0.0 for m in masks}
-        rng = a.RngPolicy(77)
-        for start in range(0, n, chunk):
-            count = min(chunk, n - start)
-            dist = _sample_chunk(net, rng, start, count)
+        for _, dist in _chunks(net, a.RngPolicy(77), n):
             for m in masks:
                 vals = dist[cols[m]].min(axis=0)
                 sums[m] += float(vals.sum())

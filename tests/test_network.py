@@ -29,6 +29,19 @@ def test_parse_negative_rate_rejected():
         a.parse_network(net_json(1.0, "s", [("s", "d", -1.0)]))
 
 
+def test_validate_rejects_non_finite_rates():
+    ok = a.parse_network(net_json(1.0, "s", [("s", "d", 1.0)]))
+    nan_edge = a.EdgeSpec("s", "d", float("nan"))
+    huge_edge = a.EdgeSpec("s", "d", 1e308)  # two of them merge to inf
+    for spec in (
+        a.NetworkSpec(ok.nodes, ok.edges, ok.source, float("inf")),
+        a.NetworkSpec(ok.nodes, (nan_edge,), ok.source, 1.0),
+        a.NetworkSpec(ok.nodes, (huge_edge, huge_edge), ok.source, 1.0),
+    ):
+        with pytest.raises(errors.NonFiniteRate):
+            a.validate_ssn(spec, merge_warning=False)
+
+
 def test_parse_malformed():
     with pytest.raises(errors.MalformedNetwork):
         a.parse_network("{not json")

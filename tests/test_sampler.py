@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import aoinet as a
 from aoinet import errors
 from aoinet.network import VIRTUAL_SOURCE_LABEL
-from aoinet.sampler import dijkstra_single
+from aoinet.sampler import CHUNK
 from conftest import build_net, random_ssn, triangle, two_node
 
 
@@ -174,16 +175,31 @@ def test_relaxation_matches_heap_dijkstra():
     for e, rate in enumerate(net.edge_rates):
         service[e] = rng.edge_exponentials(net.edge_key(e), rate, 0, n)
     for i in range(n):
-        dist = dijkstra_single(net, service[:, i])
-        assert np.allclose(dist[: net.n_user], batch.ages[i])
+        g = nx.DiGraph()
+        for e, (u, v) in enumerate(zip(net.edge_tails, net.edge_heads)):
+            g.add_edge(u, v, weight=service[e, i])
+        dist = nx.single_source_dijkstra_path_length(g, net.theta_prime_index)
+        assert np.allclose([dist[v] for v in range(net.n_user)], batch.ages[i])
 
 
-def test_target_mode_matches_full(tri):
-    n = 500
-    rng = a.RngPolicy(15)
-    full = a.sample_ages(tri, n, rng)
-    only_d = a.sample_target_ages(tri, n, rng, "d")
-    assert np.allclose(only_d, full.ages[:, tri.index_of["d"]])
+def test_multi_chunk_batch_independent_of_workers():
+    net = random_ssn(6, 3)
+    n = 2 * CHUNK + 7
+    base = a.sample_ages(net, n, a.RngPolicy(21), workers=1)
+    threaded = a.sample_ages(net, n, a.RngPolicy(21), workers=3)
+    assert np.array_equal(base.ages, threaded.ages)
+
+
+def test_batch_prefix_is_shorter_batch(two):
+    # replicate i takes draw i of every edge stream, across chunk boundaries
+    n = CHUNK + 7
+    rng = a.RngPolicy(22)
+    batch = a.sample_ages(two, n, rng)
+    draws = edge_draws(two, rng, n)
+    expected = draws[(VIRTUAL_SOURCE_LABEL, "s")] + draws[("s", "d")]
+    assert np.array_equal(batch.ages[:, two.index_of["d"]], expected)
+    k = CHUNK + 3
+    assert np.array_equal(batch.ages[:k], a.sample_ages(two, k, rng).ages)
 
 
 def test_fold_matches_batch_estimate(tri):
@@ -191,7 +207,7 @@ def test_fold_matches_batch_estimate(tri):
     n = 100_000
     rng = a.RngPolicy(16)
     batch_est = a.estimate(a.sample_ages(tri, n, rng), d, a.Functional.mean())
-    fold_est = a.fold_estimate(tri, n, rng, d, a.Functional.mean(), chunk_size=4096)
+    fold_est = a.fold_estimate(tri, n, rng, d, a.Functional.mean())
     assert batch_est[0] == pytest.approx(fold_est[0], rel=1e-12)
     assert batch_est[1] == pytest.approx(fold_est[1], rel=1e-9)
 

@@ -171,3 +171,37 @@ def test_trace_file(tmp_path, tri):
         assert "->" in row[2]
         ages = [float(x) for x in row[3:]]
         assert all(x >= 0.0 for x in ages)
+
+
+def test_trace_file_closed_when_run_fails(tmp_path, tri, monkeypatch):
+    opened = []
+
+    class FailingWriter:
+        def __init__(self, fh):
+            opened.append(fh)
+            self.rows = 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows > 1:  # the header goes through, the first event fails
+                raise RuntimeError("disk full")
+
+    monkeypatch.setattr(csv, "writer", FailingWriter)
+    with pytest.raises(RuntimeError, match="disk full"):
+        a.simulate(
+            tri,
+            a.SimConfig(total_events=10, master_seed=15),
+            trace_path=str(tmp_path / "trace.csv"),
+        )
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_subset_time_average_singleton_matches_node(tri):
+    res = run(tri, 20_000, 16)
+    for v in tri.node_names:
+        mean, se = a.subset_time_average(res, tri.subset_mask([v]))
+        assert mean == pytest.approx(a.time_average(res, v), rel=1e-12)
+        assert se == pytest.approx(a.time_average_stderr(res, v), rel=1e-9)
+    with pytest.raises(errors.EmptySubset):
+        a.subset_time_average(res, 0)
+
