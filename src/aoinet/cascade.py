@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from .errors import NotAChain
-from .exact import AgeTable
+from .exact import AgeTable, _mean_walk, _user_edges
 from .network import AugmentedNetwork
 
 
@@ -89,7 +89,7 @@ def decompose_chain(net: AugmentedNetwork) -> BlockChain:
 
 
 def _block_min_path_means(
-    net: AugmentedNetwork, block: frozenset[int], entry: int
+    edges: list[tuple[int, int, float]], block: frozenset[int], entry: int
 ) -> dict[int, float]:
     """E[min-path weight] from ``entry`` to every block node.
 
@@ -97,30 +97,8 @@ def _block_min_path_means(
     with base value 0 at the entry vertex (the generation-rate term of the
     global recursion drops out).
     """
-    edges = [
-        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
-        for e in range(len(net.edge_rates) - 1)
-        if net.edge_tails[e] in block and net.edge_heads[e] in block
-    ]
-    entry_bit = 1 << entry
-    memo: dict[int, float] = {}
-
-    def rec(mask: int) -> float:
-        if mask & entry_bit:
-            return 0.0
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        mu = 0.0
-        acc = 0.0
-        for u, v, r in edges:
-            if mask >> v & 1 and not mask >> u & 1:
-                mu += r
-                acc += r * rec(mask | (1 << u))
-        val = (1.0 + acc) / mu
-        memo[mask] = val
-        return val
-
+    inside = [(u, v, r) for u, v, r in edges if u in block and v in block]
+    rec = _mean_walk(inside, 1 << entry, 0.0)
     return {v: rec(1 << v) for v in block}
 
 
@@ -133,9 +111,10 @@ def chain_average_ages(
     values: dict[int, float] = {}
     prefix = 0.0
     inv_lam = 1.0 / net.lam
+    edges = _user_edges(net)
     for i, block in enumerate(chain.blocks):
         entry = chain.entry_vertices[i]
-        within = _block_min_path_means(net, block, entry)
+        within = _block_min_path_means(edges, block, entry)
         for v in block:
             values[1 << v] = inv_lam + prefix + within[v]
         if i < len(chain.cut_vertices):

@@ -26,6 +26,8 @@ from . import simulator as sim_mod
 from .errors import AoiError
 from .network import parse_network, validate_ssn
 
+MAX_GRID_POINTS = 100_000  # largest --d-grid a cdf run will evaluate
+
 
 def _load_network(path: str):
     try:
@@ -161,6 +163,13 @@ def cmd_cdf(args):
     if not (0.0 <= start <= stop < math.inf and 0.0 < step < math.inf):
         raise AoiError(
             f"bad --d-grid {args.d_grid!r}, want finite 0 <= START <= STOP, STEP > 0"
+        )
+    # counted before np.arange allocates anything; inf when the count overflows
+    points = (stop + step * 0.5 - start) / step
+    if not points <= MAX_GRID_POINTS:
+        raise AoiError(
+            f"--d-grid {args.d_grid!r} has {points:.3g} points; "
+            f"at most {MAX_GRID_POINTS} are allowed"
         )
     grid = np.arange(start, stop + step * 0.5, step)
     rows = []

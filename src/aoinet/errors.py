@@ -67,5 +67,9 @@ class EmptyWindow(AoiError):
     pass
 
 
+class TooFewEvents(AoiError):
+    """The kept window holds too few events for batch-means error bars."""
+
+
 class ThresholdNotRequested(AoiError):
     pass

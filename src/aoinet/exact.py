@@ -5,6 +5,14 @@ quantities come from the matching recursion for E[exp(s * age)], evaluated
 either at real s (Chernoff bounds) or on the imaginary axis (CDF points via
 Gil-Pelaez inversion of the characteristic function).
 
+Every MGF query compiles one cut plan: a single walk lists the supersets
+the recursion reaches from the queried subset, in dependency order, with
+their boundary rate sums and (rate, successor) terms.  Each evaluation of
+E[exp(s * age)] is then one loop over that plan, with the same arithmetic
+as the recursion, and the convergence bound is the plan's smallest boundary
+sum.  Means stay on a memoized walk: a single mean evaluates each superset
+once, so compiling a plan first only adds work.
+
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  Subsets are bitmasks over user-node indices; the virtual
 source never appears in a stored subset (its contribution enters the
@@ -21,6 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import (
+    AoiError,
     NetworkTooLarge,
     OutsideConvergenceRegion,
     QuadratureNotConverged,
@@ -76,7 +85,14 @@ class AgeTable:
 def _resolve_max_nodes(max_nodes: int | None) -> int:
     if max_nodes is None:
         env = os.environ.get(MAX_NODES_ENV)
-        max_nodes = int(env) if env else DEFAULT_MAX_EXACT_NODES
+        if not env:
+            return DEFAULT_MAX_EXACT_NODES
+        try:
+            max_nodes = int(env)
+        except ValueError:
+            max_nodes = 0  # refused below, like any value under 1
+        if max_nodes < 1:
+            raise AoiError(f"{MAX_NODES_ENV} must be an integer >= 1, got {env!r}")
     return max_nodes
 
 
@@ -87,6 +103,18 @@ def _check_size(net: AugmentedNetwork, max_nodes: int | None) -> None:
             f"{net.n_user} user nodes exceeds the exact-engine limit {limit} "
             f"(override with {MAX_NODES_ENV} up to {HARD_MAX_EXACT_NODES})"
         )
+
+
+def _user_edges(net: AugmentedNetwork) -> list[tuple[int, int, float]]:
+    """(tail, head, rate) of the user edges, in edge order.
+
+    The virtual edge is left out: for a subset without the source it never
+    crosses into the subset, and a subset with the source is a base case.
+    """
+    return [
+        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
+        for e in range(len(net.edge_rates) - 1)
+    ]
 
 
 def average_age_all(net: AugmentedNetwork, max_nodes: int | None = None) -> AgeTable:
@@ -107,13 +135,7 @@ def average_age_all(net: AugmentedNetwork, max_nodes: int | None = None) -> AgeT
     for m in range(1, size):
         masks_by_pop[m.bit_count()].append(m)
 
-    # user edges only: for theta not in A the virtual edge never crosses
-    # into A, and for theta in A the value is the 1/lambda base case.
-    edges = [
-        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
-        for e in range(len(net.edge_rates) - 1)
-    ]
-
+    edges = _user_edges(net)
     inv_lam = 1.0 / net.lam
     for pop in range(n, 0, -1):
         group = np.array(masks_by_pop[pop], dtype=np.int64)
@@ -137,22 +159,18 @@ def average_age_all(net: AugmentedNetwork, max_nodes: int | None = None) -> AgeT
     return AgeTable(values, net.fingerprint)
 
 
-def average_age(
-    net: AugmentedNetwork, a: int, max_nodes: int | None = None
-) -> float:
-    """Exact E[age] of subset ``a``, memoized over reachable supersets."""
-    check_subset(net, a)
-    _check_size(net, max_nodes)
-    src_bit = 1 << net.source_index
-    edges = [
-        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
-        for e in range(len(net.edge_rates) - 1)
-    ]
+def _mean_walk(edges, base_bit: int, base_value: float):
+    """Memoized mean recursion over the supersets reachable through ``edges``.
+
+    Returns ``rec(mask)``: ``base_value`` for a mask holding ``base_bit``,
+    else (1 + sum of rate * rec(mask + tail)) / (sum of rate) over the edges
+    entering ``mask``, summed in edge order.
+    """
     memo: dict[int, float] = {}
 
     def rec(mask: int) -> float:
-        if mask & src_bit:
-            return 1.0 / net.lam
+        if mask & base_bit:
+            return base_value
         got = memo.get(mask)
         if got is not None:
             return got
@@ -166,7 +184,65 @@ def average_age(
         memo[mask] = val
         return val
 
-    return rec(a)
+    return rec
+
+
+def average_age(
+    net: AugmentedNetwork, a: int, max_nodes: int | None = None
+) -> float:
+    """Exact E[age] of subset ``a``, memoized over reachable supersets."""
+    check_subset(net, a)
+    _check_size(net, max_nodes)
+    return _mean_walk(_user_edges(net), 1 << net.source_index, 1.0 / net.lam)(a)
+
+
+def _cut_plan(net: AugmentedNetwork, a: int) -> list[tuple[float, tuple]]:
+    """The MGF recursion from subset ``a``, compiled once.
+
+    One entry per superset reachable from ``a`` without the source, in
+    dependency order (every successor before the subsets that cut to it,
+    ``a`` last): its boundary rate sum and its ``(rate, slot)`` terms, both
+    in edge order.  Entry i fills slot i + 1 of the value list that
+    :func:`_phi` builds; slot 0 holds the source base case.
+    """
+    src_bit = 1 << net.source_index
+    edges = _user_edges(net)
+    slots: dict[int, int] = {}
+    plan: list[tuple[float, tuple]] = []
+
+    def visit(mask: int) -> int:
+        if mask & src_bit:
+            return 0
+        got = slots.get(mask)
+        if got is not None:
+            return got
+        mu = 0.0
+        terms = []
+        for u, v, r in edges:
+            if mask >> v & 1 and not mask >> u & 1:
+                mu += r
+                terms.append((r, visit(mask | (1 << u))))
+        plan.append((mu, tuple(terms)))
+        slots[mask] = len(plan)
+        return len(plan)
+
+    visit(a)
+    return plan
+
+
+def _phi(plan, lam: float, s) -> complex:
+    """E[exp(s * age)] of the plan's subset; ``Re(s)`` must be below its bound."""
+    vals = [lam / (lam - s)]
+    for mu, terms in plan:
+        acc = 0.0 + 0.0j
+        for r, j in terms:
+            acc += r * vals[j]
+        vals.append(acc / (mu - s))
+    return vals[-1]
+
+
+def _bound(plan, lam: float) -> float:
+    return min([lam] + [mu for mu, _ in plan])
 
 
 def mgf_convergence_bound(net: AugmentedNetwork, a: int) -> float:
@@ -176,28 +252,7 @@ def mgf_convergence_bound(net: AugmentedNetwork, a: int) -> float:
     subset reachable from ``a`` through the recursion.
     """
     check_subset(net, a)
-    src_bit = 1 << net.source_index
-    edges = [
-        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
-        for e in range(len(net.edge_rates) - 1)
-    ]
-    bound = net.lam
-    seen: set[int] = set()
-    stack = [a]
-    while stack:
-        mask = stack.pop()
-        if mask & src_bit or mask in seen:
-            continue
-        seen.add(mask)
-        mu = 0.0
-        for u, v, r in edges:
-            if mask >> v & 1 and not mask >> u & 1:
-                mu += r
-                sup = mask | (1 << u)
-                if sup not in seen:
-                    stack.append(sup)
-        bound = min(bound, mu)
-    return bound
+    return _bound(_cut_plan(net, a), net.lam)
 
 
 def mgf(
@@ -207,39 +262,13 @@ def mgf(
     check_subset(net, q.subset)
     _check_size(net, max_nodes)
     s = complex(q.s)
-    bound = mgf_convergence_bound(net, q.subset)
+    plan = _cut_plan(net, q.subset)
+    bound = _bound(plan, net.lam)
     if s.real >= bound:
         raise OutsideConvergenceRegion(
             f"Re(s)={s.real} is not below the convergence bound {bound}"
         )
-    return _mgf_value(net, q.subset, s)
-
-
-def _mgf_value(net: AugmentedNetwork, a: int, s: complex) -> complex:
-    src_bit = 1 << net.source_index
-    edges = [
-        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
-        for e in range(len(net.edge_rates) - 1)
-    ]
-    memo: dict[int, complex] = {}
-
-    def rec(mask: int) -> complex:
-        if mask & src_bit:
-            return net.lam / (net.lam - s)
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        mu = 0.0
-        acc = 0.0 + 0.0j
-        for u, v, r in edges:
-            if mask >> v & 1 and not mask >> u & 1:
-                mu += r
-                acc += r * rec(mask | (1 << u))
-        val = acc / (mu - s)
-        memo[mask] = val
-        return val
-
-    return rec(a)
+    return _phi(plan, net.lam, s)
 
 
 def cdf_via_inversion(
@@ -264,8 +293,15 @@ def cdf_via_inversion(
         # age has a density (it includes an Exp(lambda) summand)
         return 0.0
 
-    phi = lambda w: _mgf_value(net, q.subset, 1j * w)
-    mean = average_age(net, q.subset, max_nodes=max_nodes)
+    plan = _cut_plan(net, q.subset)
+    # the cos- and sin-weighted tail passes share most of their nodes
+    seen: dict[float, complex] = {}
+
+    def phi(w: float) -> complex:
+        got = seen.get(w)
+        if got is None:
+            got = seen[w] = _phi(plan, net.lam, 1j * w)
+        return got
 
     # truncation: |phi(w)| decays at least like 1/w^2 for every subset
     omega_max = 16.0 * (net.total_rate + 1.0 / d)
@@ -274,7 +310,10 @@ def cdf_via_inversion(
 
     def integrand(w: float) -> float:
         if w < 1e-12:
-            return mean - d  # limit of Im(phi(w) e^{-iwd}) / w as w -> 0
+            # limit of Im(phi(w) e^{-iwd}) / w as w -> 0; Gauss-Kronrod nodes
+            # lie inside their intervals, so quad in practice never asks
+            mean = average_age(net, q.subset, max_nodes=max_nodes)
+            return mean - d
         return (phi(w) * np.exp(-1j * w * d)).imag / w
 
     # low part: at most half an oscillation of e^{-iwd}
@@ -322,10 +361,11 @@ def chernoff_bound(
     d = q.d
     if d < 0:
         raise ValueError(f"threshold d must be non-negative, got {d}")
-    s_max = mgf_convergence_bound(net, q.subset) * (1.0 - 1e-6)
+    plan = _cut_plan(net, q.subset)
+    s_max = _bound(plan, net.lam) * (1.0 - 1e-6)
 
     def log_obj(s: float) -> float:
-        return math.log(_mgf_value(net, q.subset, s).real) - s * d
+        return math.log(_phi(plan, net.lam, s).real) - s * d
 
     grid = np.geomspace(s_max * 1e-8, s_max, 64)
     vals = [log_obj(s) for s in grid]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySubset, EmptyWindow, ThresholdNotRequested
+from .errors import EmptySubset, EmptyWindow, ThresholdNotRequested, TooFewEvents
 from .network import AugmentedNetwork
 
 N_BATCHES = 32  # batch-means error bars over the post-burn-in window
@@ -230,14 +230,27 @@ def time_average(res: SimResult, v) -> float:
     return float(res.integral_age[res.node_index(v)] / res.window_length)
 
 
+def _check_batches(res: SimResult) -> None:
+    if res.window_length <= 0 or res.events_used <= 0:
+        raise EmptyWindow("no events after burn-in")
+    if res.events_used < N_BATCHES:
+        raise TooFewEvents(
+            f"{res.events_used} events after burn-in cannot support a stderr "
+            f"from {N_BATCHES} batch means; keep at least {N_BATCHES}"
+        )
+
+
 def _batch_stderr(batch_means: np.ndarray) -> float:
     return float(batch_means.std(ddof=1) / math.sqrt(N_BATCHES))
 
 
 def time_average_stderr(res: SimResult, v) -> float:
-    """Batch-means standard error of the time-averaged age."""
-    if res.window_length <= 0 or res.events_used <= 0:
-        raise EmptyWindow("no events after burn-in")
+    """Batch-means standard error of the time-averaged age.
+
+    Raises :class:`TooFewEvents` when the kept window holds fewer events
+    than there are batches.
+    """
+    _check_batches(res)
     return _batch_stderr(res.batch_means[:, res.node_index(v)])
 
 
@@ -258,9 +271,9 @@ def subset_time_average(res: SimResult, mask: int) -> tuple[float, float]:
 
     The subset's age is the minimum over its nodes, so its birth at any time
     is the maximum of theirs; it changes only at their change points.
+    Raises :class:`TooFewEvents` like :func:`time_average_stderr`.
     """
-    if res.window_length <= 0 or res.events_used <= 0:
-        raise EmptyWindow("no events after burn-in")
+    _check_batches(res)
     idx = [i for i in range(len(res.node_names)) if mask >> i & 1]
     if not idx:
         raise EmptySubset("subset must be non-empty")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from aoinet.cli import main
@@ -378,6 +379,11 @@ def test_non_finite_rates_refused(capsys, tmp_path, text):
         ("cdf --node d --d-grid=-1:1:1", 1),
         ("cdf --node d --d-grid 0:inf:1", 1),
         ("cdf --node d --d-grid 0:1:1 --method sample --samples 0", 2),
+        ("cdf --node d --d-grid 0:1e12:1e-9", 1),
+        ("simulate --events 3", 1),
+        ("simulate --events 34", 1),  # 31 left after the 10% burn-in
+        ("compare --node d --samples 10 --events 3", 1),
+        ("compare --node {v,d} --samples 10 --events 3", 1),
     ],
 )
 def test_bad_arguments_refused(capsys, tri_file, args, code):
@@ -386,3 +392,37 @@ def test_bad_arguments_refused(capsys, tri_file, args, code):
     assert got == code
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "grid", ["0:1e12:1e-9", "0:1e6:1e-3", "0:100000:1", "0:1:1e-320", "0:1e308:1e-300"]
+)
+def test_cdf_grid_counted_before_allocation(capsys, tri_file, monkeypatch, grid):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    code, out, err = run_cli(
+        capsys, "cdf", "--net", tri_file, "--node", "d", "--d-grid", grid
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "100000" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+def test_bad_node_limit_setting_refused(capsys, tri_file, monkeypatch, value):
+    monkeypatch.setenv("AOI_MAX_EXACT_NODES", value)
+    code, out, err = run_cli(capsys, "exact", "--net", tri_file, "--all")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "AOI_MAX_EXACT_NODES" in err
+
+
+def test_simulate_smallest_window_with_stderr(capsys, tri_file):
+    # 35 events keep 32 after the 10% burn-in: one per batch mean
+    code, out, _ = run_cli(
+        capsys, "simulate", "--net", tri_file, "--events", "35", "--seed", "1"
+    )
+    assert code == 0
+    assert all(r["stderr"] > 0 for r in rows_of(out))

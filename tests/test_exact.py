@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import aoinet as a
-from aoinet import errors
+from aoinet import errors, exact
 from aoinet.sampler import _chunks
 from conftest import build_net, random_ssn, serial, triangle, two_node
 
@@ -137,6 +137,117 @@ class TestConvergenceBound:
         assert close > 1e6
 
 
+def oracle_mgf(net, a_mask, s):
+    """The memoized MGF recursion the cut plan replaced, kept as an oracle."""
+    src_bit = 1 << net.source_index
+    edges = [
+        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
+        for e in range(len(net.edge_rates) - 1)
+    ]
+    memo = {}
+
+    def rec(mask):
+        if mask & src_bit:
+            return net.lam / (net.lam - s)
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        mu = 0.0
+        acc = 0.0 + 0.0j
+        for u, v, r in edges:
+            if mask >> v & 1 and not mask >> u & 1:
+                mu += r
+                acc += r * rec(mask | (1 << u))
+        val = acc / (mu - s)
+        memo[mask] = val
+        return val
+
+    return rec(a_mask)
+
+
+def oracle_bound(net, a_mask):
+    """The depth-first convergence-bound walk the cut plan replaced."""
+    src_bit = 1 << net.source_index
+    edges = [
+        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
+        for e in range(len(net.edge_rates) - 1)
+    ]
+    bound = net.lam
+    seen = set()
+    stack = [a_mask]
+    while stack:
+        mask = stack.pop()
+        if mask & src_bit or mask in seen:
+            continue
+        seen.add(mask)
+        mu = 0.0
+        for u, v, r in edges:
+            if mask >> v & 1 and not mask >> u & 1:
+                mu += r
+                sup = mask | (1 << u)
+                if sup not in seen:
+                    stack.append(sup)
+        bound = min(bound, mu)
+    return bound
+
+
+PLAN_NETS = {
+    "tri": triangle,
+    "r5-0": lambda: random_ssn(5, 0),
+    "r6-3": lambda: random_ssn(6, 3),
+    "r7-11": lambda: random_ssn(7, 11),
+    "r8-2024": lambda: random_ssn(8, 2024),
+}
+
+
+def plan_targets(net):
+    n = net.n_user
+    return [1 << v for v in range(n)] + [(1 << (n - 1)) | (1 << (n - 2))]
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_NETS))
+class TestCutPlan:
+    """The compiled plan reproduces the recursion bit for bit."""
+
+    def test_phi_matches_recursion_exactly(self, name):
+        net = PLAN_NETS[name]()
+        for mask in plan_targets(net):
+            plan = exact._cut_plan(net, mask)
+            bound = oracle_bound(net, mask)
+            # imaginary s as the CDF inversion passes it, real s as plain
+            # floats and as the numpy floats of the Chernoff grid
+            points = [1j * w for w in (1e-9, 0.37, 2.0, 55.5, 1e4)]
+            points += [-3.0, 0.0, 0.5 * bound, bound * (1.0 - 1e-6)]
+            points += list(np.geomspace(bound * 1e-8, bound * 0.999, 5))
+            for s in points:
+                assert exact._phi(plan, net.lam, s) == oracle_mgf(net, mask, s)
+            for s in (0.25j, -1.5 + 3j, 0.5 * bound):
+                got = a.mgf(net, a.MgfQuery(mask, s))
+                assert got == oracle_mgf(net, mask, complex(s))
+
+    def test_convergence_bound_matches_walk_exactly(self, name):
+        net = PLAN_NETS[name]()
+        for mask in plan_targets(net) + [1 << net.source_index]:
+            assert a.mgf_convergence_bound(net, mask) == oracle_bound(net, mask)
+
+
+def test_one_plan_per_query(monkeypatch):
+    net = random_ssn(8, 2024)
+    plans = []
+    build = exact._cut_plan
+
+    def counted(*args):
+        plans.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(exact, "_cut_plan", counted)
+    monkeypatch.setattr(exact, "average_age", None)  # no mean walk either
+    exact.cdf_via_inversion(net, a.TailQuery(1 << 7, 2.0))
+    exact.chernoff_bound(net, a.TailQuery(1 << 7, 4.0))
+    exact.mgf(net, a.MgfQuery(1 << 7, 0.1))
+    assert len(plans) == 3
+
+
 class TestCdfInversion:
     def test_at_zero(self, tri):
         d = tri.subset_mask(["d"])
@@ -172,6 +283,13 @@ class TestCdfInversion:
             for v in range(net.n_user):
                 val = a.cdf_via_inversion(net, a.TailQuery(1 << v, proxy))
                 assert 0.0 < val < 1.0
+
+    def test_unconverged_quadrature_raises(self, tri):
+        # the achieved error estimate here is about 9.2e-10
+        q = a.TailQuery(tri.subset_mask(["d"]), 1.0)
+        with pytest.raises(errors.QuadratureNotConverged) as info:
+            a.cdf_via_inversion(tri, q, tol=1e-12)
+        assert 1e-12 < info.value.error_estimate < 1e-8
 
     def test_negative_threshold_rejected(self, two):
         with pytest.raises(ValueError):

@@ -205,3 +205,19 @@ def test_subset_time_average_singleton_matches_node(tri):
     with pytest.raises(errors.EmptySubset):
         a.subset_time_average(res, 0)
 
+
+
+def test_thin_window_refuses_stderr(tri):
+    # 3 kept events cannot fill the 32 batch means behind the stderr
+    res = a.simulate(tri, a.SimConfig(total_events=3, master_seed=17))
+    assert a.time_average(res, "d") > 0.0
+    with pytest.raises(errors.TooFewEvents):
+        a.time_average_stderr(res, "d")
+    with pytest.raises(errors.TooFewEvents):
+        a.subset_time_average(res, tri.subset_mask(["v", "d"]))
+    full = a.simulate(
+        tri, a.SimConfig(total_events=32, master_seed=17, burn_in_fraction=0.0)
+    )
+    assert full.events_used == 32
+    assert a.time_average_stderr(full, "d") > 0.0
+    a.subset_time_average(full, tri.subset_mask(["v", "d"]))
