@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import NotAChain
 from .exact import AgeTable, _mean_walk, _user_edges
 from .network import AugmentedNetwork
@@ -40,6 +38,8 @@ def decompose_chain(net: AugmentedNetwork) -> BlockChain:
     the block-cut structure is a simple path with the source in an end
     block; otherwise raises :class:`NotAChain`.
     """
+    import networkx as nx  # imported on first use; only this engine needs it
+
     g = nx.Graph()
     g.add_nodes_from(range(net.n_user))
     for e in range(len(net.edge_rates) - 1):

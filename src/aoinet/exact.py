@@ -26,7 +26,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     AoiError,
@@ -284,6 +283,8 @@ def cdf_via_inversion(
     integrated with trigonometric-weight quadrature up to a cutoff where
     |phi| has decayed below 1e-10 relative to w.
     """
+    from scipy.integrate import quad  # on first use: most of the import time
+
     check_subset(net, q.subset)
     _check_size(net, max_nodes)
     d = q.d

@@ -320,6 +320,26 @@ def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetw
     )
 
 
+def bfs_order(net: AugmentedNetwork) -> tuple[int, ...]:
+    """Augmented node indices in breadth-first order from the virtual node.
+
+    Out-neighbours are visited in edge order.  Validation makes every node
+    reachable, so this is a permutation of ``range(net.n_aug)`` that starts
+    with the virtual node and then the source.
+    """
+    adj: list[list[int]] = [[] for _ in range(net.n_aug)]
+    for u, v in zip(net.edge_tails, net.edge_heads):
+        adj[u].append(v)
+    order = [net.theta_prime_index]
+    seen = set(order)
+    for u in order:  # the list grows while it is walked
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return tuple(order)
+
+
 def check_subset(net: AugmentedNetwork, a: int) -> None:
     """Reject empty subsets and subsets containing the virtual source."""
     if a == 0:

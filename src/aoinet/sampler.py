@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubset, SubsetContainsVirtualSource
-from .network import AugmentedNetwork, check_subset
+from .network import AugmentedNetwork, bfs_order, check_subset
 
 _MASK64 = (1 << 64) - 1
 
@@ -65,9 +65,21 @@ class RngPolicy:
         self, edge_key: tuple[str, str], rate: float, start: int, count: int
     ) -> np.ndarray:
         """Draws ``start`` .. ``start+count`` of the edge's Exp(rate) stream."""
+        out = np.empty(count)
+        self._fill_exponentials(edge_key, rate, start, out)
+        return out
+
+    def _fill_exponentials(
+        self, edge_key: tuple[str, str], rate: float, start: int, out: np.ndarray
+    ) -> None:
+        """Writes draws ``start`` .. ``start+len(out)`` into ``out``."""
         gen = np.random.Generator(self.edge_bit_generator(edge_key, skip=start))
-        u = gen.random(count)
-        return -np.log1p(-u) / rate  # 1-u in (0,1], no infinities
+        gen.random(out=out)
+        # -log1p(-u) / rate, step by step in place; 1-u in (0,1], no infinities
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        np.divide(out, rate, out=out)
 
 
 @dataclass(frozen=True)
@@ -126,28 +138,45 @@ CHUNK = 1 << 16
 def _relax_distances(net: AugmentedNetwork, service: np.ndarray) -> np.ndarray:
     """Shortest-path distances from the virtual source, all replicates at once.
 
-    ``service`` has shape (E, n).  Bellman-Ford style rounds over the fixed
-    edge list, vectorized across replicates; with nonnegative weights this
-    yields exactly the Dijkstra distances.
+    ``service`` has shape (E, n).  Sweeps over the edges sorted by the
+    breadth-first rank of their tail (the virtual edge first), vectorized
+    across replicates.  An edge is relaxed only if its tail's distances
+    changed since the edge was last relaxed, and the sweeps stop after one
+    without improvement.  Each distance ends as the minimum over paths of
+    the path's left-to-right float sum (rounding is monotone, so no cycle
+    helps), whatever the relaxation order; with nonnegative weights these
+    are exactly the Dijkstra distances.
     """
     n = service.shape[1]
     dist = np.full((net.n_aug, n), np.inf)
     dist[net.theta_prime_index] = 0.0
     cand = np.empty(n)
     better = np.empty(n, dtype=bool)
-    edges = list(zip(net.edge_tails, net.edge_heads))
-    for _ in range(net.n_aug - 1):
-        changed = False
-        for e, (u, v) in enumerate(edges):
+    rank = {v: r for r, v in enumerate(bfs_order(net))}
+    edges = sorted(
+        zip(net.edge_tails, net.edge_heads, range(len(net.edge_rates))),
+        key=lambda edge: rank[edge[0]],
+    )
+    # step of each node's last improvement and of each edge's last relaxation
+    changed = [-1] * net.n_aug
+    changed[net.theta_prime_index] = 0
+    relaxed = [-1] * len(edges)
+    step = 0
+    improved = True
+    while improved:
+        improved = False
+        for u, v, e in edges:
+            if changed[u] <= relaxed[e]:
+                continue
+            step += 1
+            relaxed[e] = step
             np.add(dist[u], service[e], out=cand)
-            # skip the write when no replicate improves; a round without
-            # any improvement is the fixpoint
+            # skip the write when no replicate improves
             np.less(cand, dist[v], out=better)
             if better.any():
                 np.minimum(dist[v], cand, out=dist[v])
-                changed = True
-        if not changed:
-            break
+                changed[v] = step
+                improved = True
     return dist
 
 
@@ -164,7 +193,7 @@ def _chunks(
         count = min(CHUNK, n - start)
         service = np.empty((len(net.edge_rates), count))
         for e, rate in enumerate(net.edge_rates):
-            service[e] = rng.edge_exponentials(net.edge_key(e), rate, start, count)
+            rng._fill_exponentials(net.edge_key(e), rate, start, service[e])
         return start, _relax_distances(net, service)[: net.n_user]
 
     starts = range(0, n, CHUNK)
@@ -180,8 +209,9 @@ def sample_ages(
 ) -> SampleBatch:
     """Draw ``n`` replicates of the per-node age vector.
 
-    Each replicate takes at most |V| Bellman-Ford rounds over the |E| edges,
-    so O(n |V| |E|) overall; rounds stop once no distance improves.  The
+    Each replicate takes at most |V| Bellman-Ford sweeps over the |E| edges,
+    so O(n |V| |E|) overall; a sweep relaxes only the edges whose tail moved,
+    and the sweeps stop once no distance improves.  The
     result is bit-identical for any ``workers`` value (replicate ranges are
     fixed stream offsets).
     """
@@ -227,8 +257,10 @@ def fold_estimate(
 ) -> tuple[float, float]:
     """Streaming (constant-memory) version of sample + estimate.
 
-    Identical streams as :func:`sample_ages`; returns the same estimate and
-    standard error without materializing the n x |V| matrix.
+    Identical streams as :func:`sample_ages`, without materializing the
+    n x |V| matrix.  The estimate matches :func:`estimate` on that batch to
+    rounding; the standard error comes from sums grouped per chunk, so it
+    can differ from :func:`estimate`'s in the last digit.
     """
     check_subset(net, a)
     if n < 1:

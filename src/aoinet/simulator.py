@@ -9,21 +9,31 @@ source's birth to the current time.  Ages are piecewise linear between
 events, so time integrals, squared integrals and threshold occupancies are
 accumulated exactly from the birth change points, with no discretization.
 
-A single run is strictly sequential; independent runs with different seeds
-may execute in parallel.  Results are immutable.
+Births are copies of reset times combined only by max, so a run is not
+replayed event by event: every node's births are solved at once as a
+monotone fixpoint over its own event stream (``_births``), sweeping the
+nodes in breadth-first order until a sweep changes nothing; at most
+``n_user`` sweeps change something.  The result is bit-identical to the
+sequential update.  Independent runs with different seeds may execute in
+parallel.  Results are immutable.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySubset, EmptyWindow, ThresholdNotRequested, TooFewEvents
-from .network import AugmentedNetwork
+from .errors import (
+    EmptySubset,
+    EmptyWindow,
+    InvalidInitialAge,
+    ThresholdNotRequested,
+    TooFewEvents,
+)
+from .network import AugmentedNetwork, bfs_order
 
 N_BATCHES = 32  # batch-means error bars over the post-burn-in window
 
@@ -106,95 +116,171 @@ def _integrate(
     return integral, integral_sq, occupancy, batch_means
 
 
+def _start_births(net: AugmentedNetwork, initial_ages) -> np.ndarray:
+    """Each node's birth at time 0: minus its initial age (default 0)."""
+    ages = np.zeros(net.n_user)
+    for name, a0 in (initial_ages or {}).items():
+        if name not in net.index_of:
+            raise InvalidInitialAge(f"initial age given for unknown node {name!r}")
+        try:
+            a0 = float(a0)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInitialAge(
+                f"initial age of {name!r} must be a number, got {a0!r}"
+            ) from exc
+        if not (math.isfinite(a0) and a0 >= 0.0):
+            raise InvalidInitialAge(
+                f"initial age of {name!r} must be finite and >= 0, got {a0}"
+            )
+        ages[net.index_of[name]] = a0
+    return -ages
+
+
+def _births(
+    net: AugmentedNetwork, times: np.ndarray, picks: np.ndarray, start: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every node's birth after each event it receives, as a monotone fixpoint.
+
+    Returns ``(events, births)``: ``events[v]`` holds the sorted indices of
+    the events on edges into ``v``, and ``births[v][k]`` is ``v``'s birth
+    after the first ``k`` of them (``births[v][0] = start[v]``).  A ring of
+    edge (u, v) sets v's birth to the larger of u's and v's; a ring of the
+    virtual edge sets the source's birth to the event time, which is the
+    larger one because start births are <= 0.  So each value is the running
+    maximum of v's start birth and its incoming values, and an incoming
+    value is the tail's birth just before the event.
+
+    All births start at their start value, a lower bound.  Sweeps over the
+    nodes in breadth-first order recompute each node's running maximum from
+    its tails' current values, until a sweep changes nothing.  Each value
+    depends only on earlier events, so the solution is unique and any exact
+    evaluation order gives it bit for bit.  A value travels from a reset
+    along a path that never repeats a node (a revisited node already held
+    it), so after sweep k every value carried by a path of k edges is
+    final: at most ``n_user`` sweeps change something, and one more
+    confirms.
+    """
+    n = net.n_user
+    n_events = len(times)
+    key = np.min_scalar_type(n)  # small keys, so numpy radix-sorts them
+    heads = np.asarray(net.edge_heads, dtype=key)[picks]
+    tails = np.asarray(net.edge_tails, dtype=key)[picks]
+    by_head = np.argsort(heads, kind="stable")
+    counts = np.bincount(heads, minlength=n)
+    first = np.concatenate(([0], np.cumsum(counts))).tolist()
+    events = [by_head[first[v] : first[v + 1]] for v in range(n)]
+
+    # One flat state: the event times, then each node's births, node v's
+    # from base[v] on.  src[i] is where the value carried by event i sits:
+    # its own time for the virtual edge, else the slot of the tail's birth
+    # just before the event.
+    base = [n_events + first[v] + v for v in range(n)]
+    state = np.concatenate((times, np.repeat(start, counts + 1)))
+    births = [state[base[v] : base[v] + 1 + len(events[v])] for v in range(n)]
+    src = np.empty(n_events, dtype=np.intp)
+    by_tail = np.argsort(tails, kind="stable")
+    tail_first = np.concatenate(
+        ([0], np.cumsum(np.bincount(tails, minlength=n + 1)))
+    ).tolist()
+    for u in range(n + 1):
+        ev = by_tail[tail_first[u] : tail_first[u + 1]]
+        src[ev] = ev if u == n else np.searchsorted(events[u], ev) + base[u]
+    src = src[by_head]
+
+    tails_of = [set() for _ in range(n)]
+    for u, v in zip(net.edge_tails, net.edge_heads):
+        tails_of[v].add(u)
+    # step of the last change of each node (index n: the event times, which
+    # never change) and of each node's last evaluation
+    changed = [0] * (n + 1)
+    evaluated = [-1] * n
+    step = 0
+    order = [v for v in bfs_order(net) if v < n and len(events[v])]
+    buf = np.empty(n_events)
+    moved = True
+    while moved:
+        moved = False
+        for v in order:
+            if max(changed[u] for u in tails_of[v]) <= evaluated[v]:
+                continue
+            step += 1
+            evaluated[v] = step
+            x = buf[: len(events[v])]
+            np.take(state, src[first[v] : first[v + 1]], out=x)
+            np.maximum(x, start[v], out=x)
+            np.maximum.accumulate(x, out=x)
+            if not np.array_equal(x, births[v][1:]):
+                births[v][1:] = x
+                changed[v] = step
+                moved = True
+    return events, births
+
+
+def _write_trace(
+    path: str,
+    net: AugmentedNetwork,
+    times: np.ndarray,
+    picks: np.ndarray,
+    events: list[np.ndarray],
+    births: list[np.ndarray],
+) -> None:
+    """One CSV row per event: its index, time, edge and every node's age after it."""
+    labels = ["->".join(net.edge_key(e)) for e in range(len(net.edge_rates))]
+    head_birth = np.empty(len(times))  # the head's birth after each event
+    for ev, b in zip(events, births):
+        head_birth[ev] = b[1:]
+    birth = [float(b[0]) for b in births]
+    with open(path, "w", newline="") as fh:
+        trace = csv.writer(fh)
+        trace.writerow(["event", "time", "edge"] + list(net.node_names))
+        for i, (t, e, nb) in enumerate(
+            zip(times.tolist(), picks.tolist(), head_birth.tolist())
+        ):
+            birth[net.edge_heads[e]] = nb
+            trace.writerow([i, f"{t:.9g}", labels[e]] + [f"{t - x:.9g}" for x in birth])
+
+
 def simulate(
     net: AugmentedNetwork,
     cfg: SimConfig,
     thresholds: list[float] | tuple[float, ...] = (),
     trace_path: str | None = None,
-    check_invariants: bool = False,
 ) -> SimResult:
     """Run ``cfg.total_events`` ring events and integrate the kept window.
 
     ``thresholds`` must be fixed here so occupancies accumulate in one pass.
-    ``check_invariants`` re-applies the per-node update rule explicitly and
-    asserts agreement with the birth bookkeeping (slow; for tests).
+    ``trace_path`` receives one CSV row per event with every node's age.
+    Raises :class:`InvalidInitialAge` for an initial age of an unknown node
+    or one that is negative or not finite.
     """
     thresholds = tuple(float(d) for d in thresholds)
     n = net.n_user
     n_events = cfg.total_events
+    start = _start_births(net, cfg.initial_ages)
     rng = np.random.default_rng(cfg.master_seed)
 
-    gaps = rng.exponential(scale=1.0 / net.total_rate, size=n_events)
-    times = np.cumsum(gaps)
+    times = np.cumsum(rng.exponential(scale=1.0 / net.total_rate, size=n_events))
     cum = np.cumsum(net.edge_rates) / net.total_rate
     picks = np.searchsorted(cum, rng.random(n_events), side="right")
     np.clip(picks, 0, len(net.edge_rates) - 1, out=picks)
 
-    init = np.zeros(n)
-    if cfg.initial_ages:
-        for name, a0 in cfg.initial_ages.items():
-            init[net.index_of[name]] = a0
+    events, births = _births(net, times, picks, start)
+    if trace_path is not None:
+        _write_trace(trace_path, net, times, picks, events, births)
 
-    birth = (-init).tolist()
-    change_times = [[0.0] for _ in range(n)]
-    change_births = [[birth[v]] for v in range(n)]
-
-    tails = net.edge_tails
-    heads = net.edge_heads
-    virtual_edge = len(net.edge_rates) - 1
-    times_list = times.tolist()
-    picks_list = picks.tolist()
-
-    ages_dbg = init.copy() if check_invariants else None
-    last_t = 0.0
-    with contextlib.ExitStack() as stack:
-        trace = None
-        if trace_path is not None:
-            fh = stack.enter_context(open(trace_path, "w", newline=""))
-            trace = csv.writer(fh)
-            trace.writerow(["event", "time", "edge"] + list(net.node_names))
-        for i in range(n_events):
-            e = picks_list[i]
-            t = times_list[i]
-            w = heads[e]
-            if e == virtual_edge:
-                nb = t  # source resets to age zero
-            else:
-                bu = birth[tails[e]]
-                bw = birth[w]
-                nb = bu if bu > bw else bw
-            if check_invariants:
-                gap = t - last_t
-                prev_w = ages_dbg[w]
-                expected = ages_dbg + gap  # non-receiving nodes grow by the gap
-                if e == virtual_edge:
-                    expected[w] = 0.0
-                else:
-                    expected[w] = min(ages_dbg[tails[e]], ages_dbg[w]) + gap
-                    assert expected[w] <= prev_w + gap + 1e-9
-                ages_dbg = expected
-                got = t - np.array([nb if v == w else birth[v] for v in range(n)])
-                assert np.allclose(got, expected), "birth bookkeeping diverged"
-                last_t = t
-            if nb != birth[w]:
-                birth[w] = nb
-                change_times[w].append(t)
-                change_births[w].append(nb)
-            if trace is not None:
-                u_label, v_label = net.edge_key(e)
-                trace.writerow(
-                    [i, f"{t:.9g}", f"{u_label}->{v_label}"]
-                    + [f"{t - birth[v]:.9g}" for v in range(n)]
-                )
+    # change logs: time 0 and every event that moves a node's birth
+    cts, cbs = [], []
+    for ev, b in zip(events, births):
+        moved = np.flatnonzero(b[1:] != b[:-1])
+        cts.append(np.concatenate(([0.0], times[ev[moved]])))
+        cbs.append(np.concatenate((b[:1], b[1:][moved])))
+    cts, cbs = tuple(cts), tuple(cbs)
 
     burn = int(math.floor(cfg.burn_in_fraction * n_events))
-    t0 = times_list[burn - 1] if burn > 0 else 0.0
-    t_end = times_list[-1]
+    t0 = float(times[burn - 1]) if burn > 0 else 0.0
+    t_end = float(times[-1])
     events_used = n_events - burn
     window = t_end - t0
-
-    cts = tuple(np.asarray(x) for x in change_times)
-    cbs = tuple(np.asarray(x) for x in change_births)
 
     integral = np.zeros(n)
     integral_sq = np.zeros(n)

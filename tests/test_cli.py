@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,3 +430,31 @@ def test_simulate_smallest_window_with_stderr(capsys, tri_file):
     )
     assert code == 0
     assert all(r["stderr"] > 0 for r in rows_of(out))
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["exact", "--node", "d"], ["exact", "--all"]]
+)
+def test_cheap_commands_skip_scipy_and_networkx(tri_file, argv):
+    # a fresh interpreter, so modules other tests loaded do not count
+    code = (
+        "import sys; from aoinet.cli import main; "
+        "rc = main(sys.argv[1:]); "
+        "print(sorted({m.split('.')[0] for m in sys.modules} "
+        "& {'scipy', 'networkx'})); "
+        "sys.exit(rc)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv[:1], "--net", tri_file, *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import aoinet as a
 from aoinet import errors
+from aoinet.network import VIRTUAL_SOURCE_LABEL, bfs_order
 from conftest import build_net, net_json, random_ssn, serial, triangle, two_node
 
 
@@ -193,11 +194,20 @@ def test_random_ssn_always_validates(seed, n):
 
 
 def test_reserved_label_rejected():
-    from aoinet.network import VIRTUAL_SOURCE_LABEL
-
     with pytest.raises(errors.MalformedNetwork):
         build_net(
             1.0,
             "s",
             [("s", VIRTUAL_SOURCE_LABEL, 1.0)],
         )
+
+
+def test_bfs_order_from_virtual_node():
+    net = build_net(
+        1.0, "s", [("b", "c", 1), ("s", "a", 1), ("a", "b", 1), ("s", "c", 1)]
+    )
+    order = [net.label(v) for v in bfs_order(net)]
+    assert order == [VIRTUAL_SOURCE_LABEL, "s", "a", "c", "b"]
+    for n_nodes, seed in [(8, 2024), (20, 7)]:
+        net = random_ssn(n_nodes, seed)
+        assert sorted(bfs_order(net)) == list(range(net.n_aug))

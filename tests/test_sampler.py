@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import aoinet as a
 from aoinet import errors
-from aoinet.network import VIRTUAL_SOURCE_LABEL
-from aoinet.sampler import CHUNK
+from aoinet.network import VIRTUAL_SOURCE_LABEL, bfs_order
+from aoinet.sampler import CHUNK, _relax_distances
 from conftest import build_net, random_ssn, triangle, two_node
 
 
@@ -182,6 +182,72 @@ def test_relaxation_matches_heap_dijkstra():
         assert np.allclose([dist[v] for v in range(net.n_user)], batch.ages[i])
 
 
+def all_edges_bellman_ford(net, service):
+    """Plain Bellman-Ford: every edge in edge order, every round."""
+    n = service.shape[1]
+    dist = np.full((net.n_aug, n), np.inf)
+    dist[net.theta_prime_index] = 0.0
+    edges = list(zip(net.edge_tails, net.edge_heads))
+    for _ in range(net.n_aug - 1):
+        changed = False
+        for e, (u, v) in enumerate(edges):
+            cand = dist[u] + service[e]
+            better = cand < dist[v]
+            if better.any():
+                dist[v] = np.minimum(dist[v], cand)
+                changed = True
+        if not changed:
+            break
+    return dist
+
+
+def reverse_bfs_listed(net):
+    """The same network, its edges listed from the deepest tail upwards."""
+    rank = {v: r for r, v in enumerate(bfs_order(net))}
+    edges = sorted(
+        net.base.edges, key=lambda e: -rank[net.index_of[e.frm]]
+    )
+    return build_net(
+        net.lam,
+        net.node_names[net.source_index],
+        [(e.frm, e.to, e.rate) for e in edges],
+        nodes=list(net.node_names),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        triangle,
+        lambda: random_ssn(5, 0),
+        lambda: random_ssn(8, 2024),
+        lambda: random_ssn(20, 7),
+        lambda: reverse_bfs_listed(random_ssn(8, 2024)),
+        lambda: reverse_bfs_listed(random_ssn(20, 7)),
+    ],
+)
+def test_relaxation_matches_all_edges_bellman_ford(make):
+    net = make()
+    n = 3000
+    draws = edge_draws(net, a.RngPolicy(23), n)
+    service = np.array([draws[net.edge_key(e)] for e in range(len(net.edge_rates))])
+    assert np.array_equal(
+        _relax_distances(net, service), all_edges_bellman_ford(net, service)
+    )
+
+
+def test_reverse_listing_keeps_the_law():
+    net = random_ssn(8, 2024)
+    rev = reverse_bfs_listed(net)
+    ranks = [bfs_order(rev).index(u) for u in rev.edge_tails[:-1]]
+    assert ranks == sorted(ranks, reverse=True) and ranks != sorted(ranks)
+    # streams are keyed by edge labels, so the listing does not move a draw
+    assert np.array_equal(
+        a.sample_ages(net, 5000, a.RngPolicy(24)).ages,
+        a.sample_ages(rev, 5000, a.RngPolicy(24)).ages,
+    )
+
+
 def test_multi_chunk_batch_independent_of_workers():
     net = random_ssn(6, 3)
     n = 2 * CHUNK + 7
@@ -224,3 +290,11 @@ def test_determinism_property(seed, n):
     b1 = a.sample_ages(net, n, a.RngPolicy(seed))
     b2 = a.sample_ages(net, n, a.RngPolicy(seed), workers=2)
     assert np.array_equal(b1.ages, b2.ages)
+
+
+def test_in_place_draws_match_the_formula():
+    rng = a.RngPolicy(25)
+    key = ("s", "d")
+    gen = np.random.Generator(rng.edge_bit_generator(key, skip=8))
+    want = -np.log1p(-gen.random(1000)) / 1.7
+    assert np.array_equal(rng.edge_exponentials(key, 1.7, 8, 1000), want)

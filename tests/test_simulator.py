@@ -6,7 +6,7 @@ import pytest
 
 import aoinet as a
 from aoinet import errors
-from conftest import triangle, two_node
+from conftest import random_ssn, triangle, triangle_chain, two_node
 
 
 def run(net, events, seed, **kw):
@@ -112,13 +112,118 @@ def test_initial_condition_washes_out(tri):
         assert abs(x - y) < max(5 * se, 0.02)
 
 
-def test_invariant_checked_run(tri):
-    # the debug mode re-derives every age from the explicit update rule
-    a.simulate(
-        tri,
-        a.SimConfig(total_events=2000, master_seed=9),
-        check_invariants=True,
+def reference_run(net, cfg, trace_path=None):
+    """Change logs from the sequential update: one Python step per event.
+
+    A ring of edge (u, w) sets w's birth to max(birth_u, birth_w); a ring of
+    the virtual edge resets the source's birth to the event time.  Draws as
+    in ``simulate``.  Writes the per-event trace when ``trace_path`` is set.
+    """
+    n = net.n_user
+    n_events = cfg.total_events
+    rng = np.random.default_rng(cfg.master_seed)
+    gaps = rng.exponential(scale=1.0 / net.total_rate, size=n_events)
+    times = np.cumsum(gaps).tolist()
+    cum = np.cumsum(net.edge_rates) / net.total_rate
+    picks = np.searchsorted(cum, rng.random(n_events), side="right")
+    np.clip(picks, 0, len(net.edge_rates) - 1, out=picks)
+    init = np.zeros(n)
+    for name, a0 in (cfg.initial_ages or {}).items():
+        init[net.index_of[name]] = a0
+    birth = (-init).tolist()
+    change_times = [[0.0] for _ in range(n)]
+    change_births = [[birth[v]] for v in range(n)]
+    virtual_edge = len(net.edge_rates) - 1
+    rows = []
+    for i, (e, t) in enumerate(zip(picks.tolist(), times)):
+        w = net.edge_heads[e]
+        if e == virtual_edge:
+            nb = t
+        else:
+            bu = birth[net.edge_tails[e]]
+            bw = birth[w]
+            nb = bu if bu > bw else bw
+        if nb != birth[w]:
+            birth[w] = nb
+            change_times[w].append(t)
+            change_births[w].append(nb)
+        if trace_path is not None:
+            u_label, v_label = net.edge_key(e)
+            rows.append(
+                [i, f"{t:.9g}", f"{u_label}->{v_label}"]
+                + [f"{t - birth[v]:.9g}" for v in range(n)]
+            )
+    if trace_path is not None:
+        with open(trace_path, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(["event", "time", "edge"] + list(net.node_names))
+            out.writerows(rows)
+    return (
+        [np.asarray(x) for x in change_times],
+        [np.asarray(x) for x in change_births],
     )
+
+
+ORACLE_NETS = {
+    "two_node": two_node,
+    "tri": triangle,
+    "r5": lambda: random_ssn(5, 0),
+    "r8": lambda: random_ssn(8, 2024),
+    "r20": lambda: random_ssn(20, 7),
+    "chain50": lambda: triangle_chain(
+        1.0, [(1.0 + i % 3, 2.0, 0.5 + i % 5) for i in range(50)]
+    ),
+}
+
+
+def assert_matches_reference(net, cfg, tmp_path):
+    got_trace, want_trace = tmp_path / "got.csv", tmp_path / "want.csv"
+    res = a.simulate(net, cfg, trace_path=str(got_trace))
+    want_times, want_births = reference_run(net, cfg, str(want_trace))
+    for v in range(net.n_user):
+        assert np.array_equal(res.change_times[v], want_times[v])
+        assert np.array_equal(res.change_births[v], want_births[v])
+        # start births of zero ages are -0.0 in both
+        assert np.array_equal(
+            np.signbit(res.change_births[v]), np.signbit(want_births[v])
+        )
+    assert got_trace.read_bytes() == want_trace.read_bytes()
+
+
+@pytest.mark.parametrize("events", [1, 2, 3, 32, 3000])
+@pytest.mark.parametrize("name", sorted(ORACLE_NETS))
+def test_births_match_sequential_reference(tmp_path, name, events):
+    cfg = a.SimConfig(total_events=events, master_seed=events + len(name))
+    assert_matches_reference(ORACLE_NETS[name](), cfg, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "initial_ages",
+    [{"v": 100.0, "d": 3.0}, {"s": 2.5, "d": 0.25}, {"v": 0.0}],
+)
+@pytest.mark.parametrize("events", [3, 3000])
+def test_births_with_initial_ages_match_reference(tmp_path, initial_ages, events):
+    cfg = a.SimConfig(
+        total_events=events, master_seed=9, initial_ages=initial_ages
+    )
+    assert_matches_reference(triangle(), cfg, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "initial_ages, match",
+    [
+        ({"x": 1.0}, "unknown node"),
+        ({"s": -5.0}, "finite and >= 0"),
+        ({"v": -1e-300}, "finite and >= 0"),
+        ({"v": float("nan")}, "finite and >= 0"),
+        ({"d": float("inf")}, "finite and >= 0"),
+        ({"d": "old"}, "must be a number"),
+    ],
+)
+def test_meaningless_initial_ages_refused(tri, initial_ages, match):
+    cfg = a.SimConfig(total_events=100, master_seed=0, initial_ages=initial_ages)
+    with pytest.raises(errors.InvalidInitialAge, match=match):
+        a.simulate(tri, cfg)
 
 
 def test_same_seed_reproducible(tri):
@@ -204,7 +309,6 @@ def test_subset_time_average_singleton_matches_node(tri):
         assert se == pytest.approx(a.time_average_stderr(res, v), rel=1e-9)
     with pytest.raises(errors.EmptySubset):
         a.subset_time_average(res, 0)
-
 
 
 def test_thin_window_refuses_stderr(tri):
