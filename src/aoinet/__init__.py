@@ -6,7 +6,6 @@ inversion, Monte Carlo shortest-path sampling, and discrete-event
 simulation of the actual preemptive dynamics.
 """
 
-from .cascade import BlockChain, chain_average_ages, decompose_chain
 from .closed_forms import (
     TriangleRates,
     serial_cascade_age,
@@ -21,6 +20,7 @@ from .exact import (
     average_age,
     average_age_all,
     cdf_via_inversion,
+    chain_average_ages,
     chernoff_bound,
     mgf,
     mgf_convergence_bound,
@@ -59,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgeTable",
     "AugmentedNetwork",
-    "BlockChain",
     "Boundary",
     "EdgeSpec",
     "Functional",
@@ -77,7 +76,6 @@ __all__ = [
     "cdf_via_inversion",
     "chain_average_ages",
     "chernoff_bound",
-    "decompose_chain",
     "empirical_cdf",
     "equal_age_fraction",
     "estimate",

@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from . import cascade as cascade_mod
 from . import exact as exact_mod
 from . import sampler as sampler_mod
 from . import simulator as sim_mod
@@ -82,7 +81,10 @@ _THRESHOLD = _arg_type(float, lambda x: 0.0 <= x < math.inf, "a finite number >=
 
 
 def _thresholds(text: str) -> list[float]:
-    return [_THRESHOLD(x) for x in text.split(",")]
+    values = [_THRESHOLD(x) for x in text.split(",")]
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"want distinct thresholds, got {text!r}")
+    return values
 
 
 def _row(target, method, value, stderr=None, **meta):
@@ -114,14 +116,6 @@ def _seed_of(args) -> int:
     return secrets.randbits(63)
 
 
-def _targets(net, args):
-    if getattr(args, "all", False):
-        return [(name, 1 << i) for i, name in enumerate(net.node_names)]
-    expr = args.subset if getattr(args, "subset", None) else args.node
-    mask = _parse_subset_expr(net, expr)
-    return [(_subset_name(net, mask), mask)]
-
-
 def cmd_validate(args):
     net = _load_network(args.net)
     return [
@@ -137,12 +131,17 @@ def cmd_validate(args):
     ]
 
 
+def _all_means(net, method: str):
+    table = exact_mod.chain_average_ages(net)
+    return [_row(name, method, table[1 << i]) for i, name in enumerate(net.node_names)]
+
+
 def cmd_exact(args):
     net = _load_network(args.net)
-    return [
-        _row(name, "exact", exact_mod.average_age(net, mask))
-        for name, mask in _targets(net, args)
-    ]
+    if args.all:
+        return _all_means(net, "exact")
+    mask = _parse_subset_expr(net, args.node if args.subset is None else args.subset)
+    return [_row(_subset_name(net, mask), "exact", exact_mod.average_age(net, mask))]
 
 
 def cmd_mgf(args):
@@ -259,13 +258,7 @@ def cmd_simulate(args):
 
 
 def cmd_cascade(args):
-    net = _load_network(args.net)
-    chain = cascade_mod.decompose_chain(net)
-    table = cascade_mod.chain_average_ages(net, chain)
-    return [
-        _row(name, "cascade", table[1 << i], blocks=len(chain.blocks))
-        for i, name in enumerate(net.node_names)
-    ]
+    return _all_means(_load_network(args.net), "cascade")
 
 
 def cmd_compare(args):
@@ -275,9 +268,7 @@ def cmd_compare(args):
     seed = _seed_of(args)
 
     exact_val = exact_mod.average_age(net, mask)
-    batch = sampler_mod.sample_ages(net, args.samples, sampler_mod.RngPolicy(seed))
-    samp, samp_se = sampler_mod.estimate(batch, mask, sampler_mod.Functional.mean())
-
+    # the simulator first: it refuses overflowing ages before the sampler squares them
     cfg = sim_mod.SimConfig(total_events=args.events, master_seed=seed)
     res = sim_mod.simulate(net, cfg)
     labels = net.subset_labels(mask)
@@ -286,6 +277,9 @@ def cmd_compare(args):
         sim_se = sim_mod.time_average_stderr(res, labels[0])
     else:
         sim_val, sim_se = sim_mod.subset_time_average(res, mask)
+
+    batch = sampler_mod.sample_ages(net, args.samples, sampler_mod.RngPolicy(seed))
+    samp, samp_se = sampler_mod.estimate(batch, mask, sampler_mod.Functional.mean())
 
     gate_sampler = abs(samp - exact_val) <= 4.0 * samp_se
     gate_sim = abs(sim_val - exact_val) <= 4.0 * sim_se
@@ -357,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=_thresholds, metavar="d1,d2,...")
     p.add_argument("--trace", metavar="FILE")
 
-    add("cascade", cmd_cascade, help="chain-of-blocks exact averages")
+    add("cascade", cmd_cascade, help="exact averages of every node, by dominators")
 
     p = add("compare", cmd_compare, help="cross-method agreement check")
     p.add_argument("--node", required=True)

@@ -59,12 +59,12 @@ class QuadratureNotConverged(AoiError):
         self.error_estimate = error_estimate
 
 
-class NotAChain(AoiError):
-    pass
-
-
 class EmptyWindow(AoiError):
     pass
+
+
+class IntegralOverflow(AoiError):
+    """A window integral or batch mean of the simulated ages is not finite."""
 
 
 class TooFewEvents(AoiError):

@@ -1,17 +1,20 @@
 """Exact age computations via subset recursions on the augmented graph.
 
-Averages come from the mean recursion over boundary cuts; distributional
-quantities come from the matching recursion for E[exp(s * age)], evaluated
-either at real s (Chernoff bounds) or on the imaginary axis (CDF points via
-Gil-Pelaez inversion of the characteristic function).
+Means come from the recursion over boundary cuts, split at dominators.  If
+every source path to every node of subset A passes node d, the distance to
+A is the distance to d plus the distance from d to A, over disjoint edges;
+so mean(A) = mean(d) + a mean walk from A based at d, over the in-edges of
+the nodes that reach A without passing d.  A walk costs time exponential
+in the nodes it touches, which the exact-engine limit bounds.
 
-Every MGF query compiles one cut plan: a single walk lists the supersets
-the recursion reaches from the queried subset, in dependency order, with
-their boundary rate sums and (rate, successor) terms.  Each evaluation of
-E[exp(s * age)] is then one loop over that plan, with the same arithmetic
-as the recursion, and the convergence bound is the plan's smallest boundary
-sum.  Means stay on a memoized walk: a single mean evaluates each superset
-once, so compiling a plan first only adds work.
+Distributional quantities come from the matching recursion for
+E[exp(s * age)] over the whole network, at real s (Chernoff bounds) or on
+the imaginary axis (CDF points via Gil-Pelaez inversion).  Every MGF query
+compiles one cut plan: a single walk lists the supersets the recursion
+reaches from the queried subset, in dependency order, with their boundary
+rate sums and (rate, successor) terms.  Each evaluation of E[exp(s * age)]
+is one loop over that plan, with the recursion's arithmetic, and the
+convergence bound is the plan's smallest boundary sum.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  Subsets are bitmasks over user-node indices; the virtual
@@ -33,11 +36,12 @@ from .errors import (
     OutsideConvergenceRegion,
     QuadratureNotConverged,
 )
-from .network import AugmentedNetwork, check_subset
+from .network import AugmentedNetwork, bfs_order, check_subset
 
 DEFAULT_MAX_EXACT_NODES = 20
 HARD_MAX_EXACT_NODES = 28
 MAX_NODES_ENV = "AOI_MAX_EXACT_NODES"
+_WALK_NODES = "nodes in one mean walk"
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class AgeTable:
     """Map from subset bitmask to exact average age.
 
     Backed either by a dense array indexed by mask (full tables) or by a
-    plain dict (e.g. singleton tables from the cascade engine).
+    plain dict (the singleton tables of :func:`chain_average_ages`).
     """
 
     def __init__(self, values, network_hash: str):
@@ -95,11 +99,11 @@ def _resolve_max_nodes(max_nodes: int | None) -> int:
     return max_nodes
 
 
-def _check_size(net: AugmentedNetwork, max_nodes: int | None) -> None:
+def _check_size(nodes: int, max_nodes: int | None, what: str = "user nodes") -> None:
     limit = min(_resolve_max_nodes(max_nodes), HARD_MAX_EXACT_NODES)
-    if net.n_user > limit:
+    if nodes > limit:
         raise NetworkTooLarge(
-            f"{net.n_user} user nodes exceeds the exact-engine limit {limit} "
+            f"{nodes} {what} exceeds the exact-engine limit {limit} "
             f"(override with {MAX_NODES_ENV} up to {HARD_MAX_EXACT_NODES})"
         )
 
@@ -123,7 +127,7 @@ def average_age_all(net: AugmentedNetwork, max_nodes: int | None = None) -> AgeT
     decreasing popcount: the recursion for a subset references only strict
     supersets.  Vectorized per popcount group across masks.
     """
-    _check_size(net, max_nodes)
+    _check_size(net.n_user, max_nodes)
     n = net.n_user
     src_bit = 1 << net.source_index
     size = 1 << n
@@ -186,13 +190,133 @@ def _mean_walk(edges, base_bit: int, base_value: float):
     return rec
 
 
+def _idoms(net: AugmentedNetwork) -> tuple[list[int], list[int]]:
+    """Immediate dominator and breadth-first rank of every augmented node.
+
+    Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm" (2001):
+    a node's dominator is the nearest common ancestor of its predecessors
+    in the tree so far, until a pass changes nothing.  :func:`_meet` walks
+    up by breadth-first rank, which puts every dominator first.
+    """
+    order = bfs_order(net)
+    rank = [0] * net.n_aug
+    for i, v in enumerate(order):
+        rank[v] = i
+    into = _in_edges(net)
+    idom = [-1] * net.n_aug
+    idom[order[0]] = order[0]
+    changed = True
+    while changed:
+        changed = False
+        for v in order[1:]:
+            new = -1
+            for p in (net.edge_tails[e] for e in into[v]):
+                if idom[p] >= 0:
+                    new = p if new < 0 else _meet(idom, rank, p, new)
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+    return idom, rank
+
+
+def _meet(idom: list[int], rank: list[int], x: int, y: int) -> int:
+    """Nearest common ancestor of ``x`` and ``y`` in the dominator tree."""
+    while x != y:
+        while rank[x] > rank[y]:
+            x = idom[x]
+        while rank[y] > rank[x]:
+            y = idom[y]
+    return x
+
+
+def _in_edges(net: AugmentedNetwork) -> list[list[int]]:
+    """Indices of each augmented node's incoming edges, in edge order."""
+    into: list[list[int]] = [[] for _ in range(net.n_aug)]
+    for e, v in enumerate(net.edge_heads):
+        into[v].append(e)
+    return into
+
+
+def _region_walk(net: AugmentedNetwork, into, nodes: list[int], d: int):
+    """The node count (``d`` included) and the mean walk from ``nodes``.
+
+    The walk is based at their dominator ``d``, over the in-edges of the
+    nodes that reach ``nodes`` without passing ``d``: never the source, so
+    never the virtual edge.  The base is 0, or 1/lambda at the source.
+    """
+    stack = list(nodes)
+    seen = set(stack)
+    while stack:
+        for e in into[stack.pop()]:
+            u = net.edge_tails[e]
+            if u != d and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    edges = [
+        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
+        for e in sorted(e for v in seen for e in into[v])
+    ]
+    base = 1.0 / net.lam if d == net.source_index else 0.0
+    return len(seen) + 1, _mean_walk(edges, 1 << d, base)
+
+
 def average_age(
     net: AugmentedNetwork, a: int, max_nodes: int | None = None
 ) -> float:
-    """Exact E[age] of subset ``a``, memoized over reachable supersets."""
+    """Exact E[age] of subset ``a``, split at its nearest common dominator.
+
+    d is the nearest node that strictly dominates every node of ``a``, and
+    mean(a) = mean(d) + the walk from ``a`` based at d, where mean(d) is
+    summed by a loop down the dominator path.  The size limit counts the
+    nodes of the largest walk, its base dominator included.
+    """
     check_subset(net, a)
-    _check_size(net, max_nodes)
-    return _mean_walk(_user_edges(net), 1 << net.source_index, 1.0 / net.lam)(a)
+    src = net.source_index
+    if a >> src & 1:
+        _check_size(1, max_nodes, _WALK_NODES)
+        return 1.0 / net.lam
+    idom, rank = _idoms(net)
+    nodes = [v for v in range(net.n_user) if a >> v & 1]
+    d = idom[nodes[0]]
+    for v in nodes[1:]:
+        d = _meet(idom, rank, d, idom[v])
+    into = _in_edges(net)
+    walks = [(a, *_region_walk(net, into, nodes, d))]  # from a up to the source
+    while d != src:
+        walks.append((1 << d, *_region_walk(net, into, [d], idom[d])))
+        d = idom[d]
+    _check_size(max(size for _, size, _ in walks), max_nodes, _WALK_NODES)
+    mean = 0.0
+    for start, _, walk in reversed(walks):
+        mean += walk(start)
+    return mean
+
+
+def chain_average_ages(
+    net: AugmentedNetwork, max_nodes: int | None = None
+) -> AgeTable:
+    """Exact E[age] of every single node, one walk per dominator.
+
+    mean(v) = mean(idom v) + the walk from v based at idom v.  The children
+    of a dominator share one walk, which the size limit counts; each child
+    meets only its own edges in it, so values equal :func:`average_age`'s.
+    """
+    src = net.source_index
+    idom, rank = _idoms(net)
+    order = sorted(range(net.n_user), key=rank.__getitem__)[1:]  # after the source
+    children: dict[int, list[int]] = {}
+    for v in order:
+        children.setdefault(idom[v], []).append(v)
+    into = _in_edges(net)
+    walks = {d: _region_walk(net, into, vs, d) for d, vs in children.items()}
+    largest = max((size for size, _ in walks.values()), default=1)
+    _check_size(largest, max_nodes, _WALK_NODES)
+    mean = [0.0] * net.n_user  # the source's 1/lambda is the base of its walk
+    values = {1 << src: 1.0 / net.lam}
+    for v in order:
+        mean[v] = mean[idom[v]] + walks[idom[v]][1](1 << v)
+        values[1 << v] = mean[v]
+    return AgeTable(values, net.fingerprint)
 
 
 def _cut_plan(net: AugmentedNetwork, a: int) -> list[tuple[float, tuple]]:
@@ -259,7 +383,7 @@ def mgf(
 ) -> complex:
     """E[exp(s * age)] of the queried subset via the boundary-cut recursion."""
     check_subset(net, q.subset)
-    _check_size(net, max_nodes)
+    _check_size(net.n_user, max_nodes)
     s = complex(q.s)
     plan = _cut_plan(net, q.subset)
     bound = _bound(plan, net.lam)
@@ -286,7 +410,7 @@ def cdf_via_inversion(
     from scipy.integrate import quad  # on first use: most of the import time
 
     check_subset(net, q.subset)
-    _check_size(net, max_nodes)
+    _check_size(net.n_user, max_nodes)
     d = q.d
     if d < 0:
         raise ValueError(f"threshold d must be non-negative, got {d}")
@@ -358,7 +482,7 @@ def chernoff_bound(
     optimum.  Clamped to 1 (the bound is vacuous for d at or below the mean).
     """
     check_subset(net, q.subset)
-    _check_size(net, max_nodes)
+    _check_size(net.n_user, max_nodes)
     d = q.d
     if d < 0:
         raise ValueError(f"threshold d must be non-negative, got {d}")

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     EmptySubset,
     EmptyWindow,
+    IntegralOverflow,
     InvalidInitialAge,
     ThresholdNotRequested,
     TooFewEvents,
@@ -76,6 +77,7 @@ class SimResult:
         return int(v)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused below instead
 def _integrate(
     starts: np.ndarray,
     births: np.ndarray,
@@ -88,7 +90,8 @@ def _integrate(
     Segment i runs from ``starts[i]`` to the next start (the last one to
     ``t_end``) with age ``t - births[i]``.  Returns the integral of the age,
     of its square, the time at or above each threshold, and the
-    ``N_BATCHES`` batch means.
+    ``N_BATCHES`` batch means.  Raises :class:`IntegralOverflow` when any
+    of them is not finite, as with ages near the float range.
     """
     ends = np.append(starts[1:], t_end)
     s = np.maximum(starts, t0)
@@ -113,6 +116,8 @@ def _integrate(
             x2 = be[ok] - b[ok]
             width = bounds[j + 1] - bounds[j]
             batch_means[j] = np.sum(x2 * x2 - x1 * x1) / 2.0 / width
+    if not np.isfinite([integral, integral_sq, *occupancy, *batch_means]).all():
+        raise IntegralOverflow("the age integrals over the kept window are not finite")
     return integral, integral_sq, occupancy, batch_means
 
 

@@ -1,23 +1,26 @@
+"""Means of every node by dominator regions (``chain_average_ages``).
+
+The shapes a block-chain decomposition used to refuse (one block, a star of
+blocks, the source between two blocks) are ordinary inputs here; their
+means must equal the full subset table's singletons.
+"""
+
 import pytest
 
 import aoinet as a
-from aoinet import errors
-from conftest import build_net, serial, triangle, triangle_chain
+from aoinet import exact
+from conftest import build_net, serial, triangle_chain
 
 
-def test_two_triangle_decomposition():
-    net = triangle_chain(1.0, [(1, 1, 1), (1, 1, 1)])
-    chain = a.decompose_chain(net)
-    assert len(chain.blocks) == 2
-    assert chain.entry_vertices[0] == net.index_of["v0"]
-    assert chain.entry_vertices[1] == net.index_of["v2"]
-    assert set(chain.blocks[0]) == {net.index_of[x] for x in ("v0", "v1", "v2")}
-    assert set(chain.blocks[1]) == {net.index_of[x] for x in ("v2", "v3", "v4")}
+def assert_matches_full_table(net):
+    table = a.chain_average_ages(net)
+    full = a.average_age_all(net)
+    for v in range(net.n_user):
+        assert table[1 << v] == pytest.approx(full[1 << v], rel=1e-12, abs=0)
 
 
 def test_single_block_is_not_a_chain(tri):
-    with pytest.raises(errors.NotAChain):
-        a.decompose_chain(tri)
+    assert_matches_full_table(tri)
 
 
 def test_branching_blocks_rejected():
@@ -32,15 +35,19 @@ def test_branching_blocks_rejected():
             ("a", "d", 1.0),
         ],
     )
-    chain = a.decompose_chain  # noqa: F841 (documented below)
-    with pytest.raises(errors.NotAChain):
-        a.decompose_chain(net)
+    assert_matches_full_table(net)
 
 
 def test_serial_three_relays_is_four_blocks():
     net = serial(1.0, [2.0, 2.0, 2.0, 2.0])
-    chain = a.decompose_chain(net)
-    assert len(chain.blocks) == 4
+    idom, _ = exact._idoms(net)
+    # each relay's region is one edge, based at the node before it
+    assert [net.label(idom[net.index_of[f"v{i}"]]) for i in range(1, 5)] == [
+        "v0",
+        "v1",
+        "v2",
+        "v3",
+    ]
     table = a.chain_average_ages(net)
     assert table[net.subset_mask(["v4"])] == pytest.approx(3.0, abs=1e-12)
 
@@ -89,5 +96,4 @@ def test_source_must_be_in_end_block():
         "m",
         [("m", "a", 1.0), ("a", "b", 1.0), ("m", "c", 1.0), ("c", "d", 1.0)],
     )
-    with pytest.raises(errors.NotAChain):
-        a.decompose_chain(net)
+    assert_matches_full_table(net)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,14 @@ def test_exact_subset_expression(capsys, tri_file):
     (row,) = rows_of(out)
     assert row["value"] == pytest.approx(1.5)
     assert set(row["target"]) >= {"v", "d"}
+
+
+@pytest.mark.parametrize("expr", ["", "{}", "x"])
+def test_bad_subset_expression_refused(capsys, tri_file, expr):
+    code, out, err = run_cli(capsys, "exact", "--net", tri_file, "--subset", expr)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_validate(capsys, tri_file):
@@ -262,13 +271,19 @@ def test_cascade_two_triangles(capsys, two_tri_file):
     rows = rows_of(out)
     by_target = {r["target"]: r for r in rows}
     assert by_target["v4"]["value"] == pytest.approx(2.5, abs=1e-12)
-    assert by_target["v4"]["meta"]["blocks"] == "2"
 
 
-def test_cascade_rejects_single_block(capsys, tri_file):
-    code, _, err = run_cli(capsys, "cascade", "--net", tri_file)
-    assert code == 1
-    assert "chain" in err.lower()
+def test_cascade_on_tri_equals_exact_all(capsys, tri_file):
+    code, out, _ = run_cli(capsys, "cascade", "--net", tri_file)
+    assert code == 0
+    cascade = rows_of(out)
+    code, out, _ = run_cli(capsys, "exact", "--net", tri_file, "--all")
+    assert code == 0
+    exact = rows_of(out)
+    assert [r["method"] for r in cascade] == ["cascade"] * 3
+    assert [(r["target"], r["value"], r["meta"]) for r in cascade] == [
+        (r["target"], r["value"], r["meta"]) for r in exact
+    ]
 
 
 def test_compare_verdict_passes(capsys, tri_file):
@@ -373,6 +388,7 @@ def test_non_finite_rates_refused(capsys, tmp_path, text):
         ("simulate --events 10 --burn-in nan", 2),
         ("simulate --events 10 --thresholds 1,x", 2),
         ("simulate --events 10 --thresholds nan", 2),
+        ("simulate --events 10 --thresholds 1,1.0", 2),
         ("compare --node d --samples 0 --events 10", 2),
         ("compare --node d --samples 10 --events 0", 2),
         ("chernoff --node d --d -1", 2),
@@ -396,6 +412,49 @@ def test_bad_arguments_refused(capsys, tri_file, args, code):
     assert got == code
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--events", "1000"],
+        ["compare", "--node", "d", "--samples", "1000", "--events", "1000"],
+        ["compare", "--node", "{v,d}", "--samples", "1000", "--events", "1000"],
+    ],
+)
+def test_overflowing_integrals_refused(capsys, tmp_path, argv):
+    # every age is near 1e300, so its square overflows
+    path = tmp_path / "net.json"
+    path.write_text(_doc(1e-300, [1e-300] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning either
+        code, out, err = run_cli(
+            capsys, argv[0], "--net", str(path), *argv[1:], "--seed", "1"
+        )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+
+
+def test_long_chain_means_at_default_limit(capsys, tmp_path):
+    # 1000 triangles, 2001 nodes: every walk spans one triangle
+    edges = []
+    for i in range(1, 1001):
+        a, b, c = f"v{2 * i - 2}", f"v{2 * i - 1}", f"v{2 * i}"
+        edges += [(a, b, 1), (b, c, 1), (a, c, 1)]
+    path = tmp_path / "chain.json"
+    path.write_text(net_json(1.0, "v0", edges))
+    code, out, _ = run_cli(capsys, "exact", "--net", str(path), "--node", "v2000")
+    assert code == 0
+    (node,) = rows_of(out)
+    assert node["value"] == pytest.approx(1.0 + 0.75 * 1000)
+    for command in (["exact", "--all"], ["cascade"]):
+        code, out, _ = run_cli(capsys, command[0], "--net", str(path), *command[1:])
+        assert code == 0
+        rows = rows_of(out)
+        assert len(rows) == 2001
+        assert rows[-1]["target"] == "v2000"
+        assert rows[-1]["value"] == node["value"]
 
 
 @pytest.mark.parametrize(
@@ -433,7 +492,8 @@ def test_simulate_smallest_window_with_stderr(capsys, tri_file):
 
 
 @pytest.mark.parametrize(
-    "argv", [["validate"], ["exact", "--node", "d"], ["exact", "--all"]]
+    "argv",
+    [["validate"], ["exact", "--node", "d"], ["exact", "--all"], ["cascade"]],
 )
 def test_cheap_commands_skip_scipy_and_networkx(tri_file, argv):
     # a fresh interpreter, so modules other tests loaded do not count

@@ -6,7 +6,14 @@ import pytest
 import aoinet as a
 from aoinet import errors, exact
 from aoinet.sampler import _chunks
-from conftest import build_net, random_ssn, serial, triangle, two_node
+from conftest import (
+    build_net,
+    random_ssn,
+    serial,
+    triangle,
+    triangle_chain,
+    two_node,
+)
 
 
 def erlang2_cdf(x, rate=1.0):
@@ -51,8 +58,11 @@ class TestAverageAge:
         net = random_ssn(6, 1)
         with pytest.raises(errors.NetworkTooLarge):
             a.average_age_all(net, max_nodes=5)
+        # every non-source node: the walk from the source touches all 6
+        rest = net.full_user_mask & ~(1 << net.source_index)
         with pytest.raises(errors.NetworkTooLarge):
-            a.average_age(net, net.subset_mask(["v1"]), max_nodes=5)
+            a.average_age(net, rest, max_nodes=5)
+        a.average_age(net, rest, max_nodes=6)
 
     def test_env_override(self, monkeypatch):
         net = random_ssn(6, 1)
@@ -135,6 +145,157 @@ class TestConvergenceBound:
         d = net.subset_mask(["d"])
         close = a.mgf(net, a.MgfQuery(d, 1.0 - 1e-9)).real
         assert close > 1e6
+
+
+def oracle_mean(net, a_mask):
+    """The whole-network mean walk the dominator split replaced."""
+    edges = [
+        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
+        for e in range(len(net.edge_rates) - 1)
+    ]
+    return exact._mean_walk(edges, 1 << net.source_index, 1.0 / net.lam)(a_mask)
+
+
+def star_of_blocks():
+    # a cut vertex "a" below a two-path source block, with three blocks under it
+    return build_net(
+        1.0,
+        "s",
+        [
+            ("s", "a", 1.0),
+            ("s", "f", 1.2),
+            ("f", "a", 0.8),
+            ("a", "b", 2.0),
+            ("b", "c", 1.5),
+            ("a", "c", 0.7),
+            ("a", "d", 1.1),
+            ("d", "e", 0.9),
+            ("a", "e", 1.7),
+            ("a", "g", 0.6),
+        ],
+    )
+
+
+def late_second_path():
+    # b is first reached from a, but its other path through c and d is found
+    # later in breadth-first order, so its dominator is the source, not a
+    return build_net(
+        0.8,
+        "s",
+        [("s", "a", 1.0), ("a", "b", 2.0), ("s", "c", 1.5), ("c", "d", 0.7)]
+        + [("d", "b", 1.2), ("b", "e", 0.9)],
+    )
+
+
+def source_in_the_middle():
+    return build_net(
+        1.3,
+        "m",
+        [("m", "a", 1.0), ("a", "b", 2.5), ("m", "c", 0.4), ("c", "d", 1.0)],
+    )
+
+
+SOURCE_ONLY_NETS = {
+    "tri": triangle,
+    "r5-0": lambda: random_ssn(5, 0),
+    "r6-3": lambda: random_ssn(6, 3),
+    "r8-2024": lambda: random_ssn(8, 2024),
+    "r6-5": lambda: random_ssn(6, 5),
+}
+DOMINATED_NETS = {
+    "r6-6": lambda: random_ssn(6, 6),
+    "r7-11": lambda: random_ssn(7, 11),
+    "chain5": lambda: triangle_chain(
+        0.9, [(1.0, 2.0, 3.0), (2.0, 1.0, 0.5), (1.5, 1.5, 1.5), (1, 1, 1), (3, 2, 1)]
+    ),
+    "star": star_of_blocks,
+    "middle": source_in_the_middle,
+    "late": late_second_path,
+}
+
+
+def other_dominators(net):
+    idom, _ = exact._idoms(net)
+    return {idom[v] for v in range(net.n_user)} - {
+        net.source_index,
+        net.theta_prime_index,
+    }
+
+
+class TestDominatorSplit:
+    @pytest.mark.parametrize("name", sorted(SOURCE_ONLY_NETS))
+    def test_bit_identical_when_only_the_source_dominates(self, name):
+        net = SOURCE_ONLY_NETS[name]()
+        assert not other_dominators(net)
+        for mask in range(1, 1 << net.n_user):
+            assert a.average_age(net, mask) == oracle_mean(net, mask)
+
+    @pytest.mark.parametrize("name", sorted(DOMINATED_NETS))
+    def test_agrees_with_whole_network_walk(self, name):
+        net = DOMINATED_NETS[name]()
+        assert other_dominators(net)
+        for mask in range(1, 1 << net.n_user):
+            want = oracle_mean(net, mask)
+            assert a.average_age(net, mask) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", sorted(SOURCE_ONLY_NETS) + sorted(DOMINATED_NETS))
+    def test_node_query_equals_all_nodes_table(self, name):
+        net = {**SOURCE_ONLY_NETS, **DOMINATED_NETS}[name]()
+        table = a.chain_average_ages(net)
+        assert sorted(table.masks()) == [1 << v for v in range(net.n_user)]
+        for v in range(net.n_user):
+            assert table[1 << v] == a.average_age(net, 1 << v)
+
+    def test_idoms_by_brute_force(self):
+        # d dominates v iff v is unreachable from the source once d is removed
+        nets = [random_ssn(n, seed) for n, seed in [(6, 6), (7, 11), (9, 4)]]
+        for net in nets + [late_second_path(), star_of_blocks()]:
+            idom, _ = exact._idoms(net)
+            src = net.source_index
+            for v in range(net.n_user):
+                if v == src:
+                    assert idom[v] == net.theta_prime_index
+                    continue
+                doms = {
+                    d for d in range(net.n_user) if d != v and not reaches(net, v, d)
+                }
+                # the immediate one is dominated by every other strict dominator
+                assert idom[v] in doms
+                assert all(d == idom[v] or not reaches(net, idom[v], d) for d in doms)
+
+    def test_walk_size_guard(self):
+        net = triangle_chain(1.0, [(1, 1, 1)] * 3)
+        last = net.subset_mask(["v6"])
+        # every walk on the way to v6 spans one triangle
+        assert a.average_age(net, last, max_nodes=3) == pytest.approx(1.0 + 0.75 * 3)
+        a.chain_average_ages(net, max_nodes=3)
+        with pytest.raises(errors.NetworkTooLarge):
+            a.average_age(net, last, max_nodes=2)
+        with pytest.raises(errors.NetworkTooLarge):
+            a.chain_average_ages(net, max_nodes=2)
+        # v1 and v6 meet at the source, and the walk from them spans all 7
+        pair = net.subset_mask(["v1", "v6"])
+        with pytest.raises(errors.NetworkTooLarge):
+            a.average_age(net, pair, max_nodes=6)
+        assert a.average_age(net, pair, max_nodes=7) == pytest.approx(
+            oracle_mean(net, pair), rel=1e-12
+        )
+
+
+def reaches(net, v, removed):
+    """Whether node ``v`` is reachable from the source without ``removed``."""
+    if removed == net.source_index:
+        return False
+    seen = {net.source_index}
+    stack = [net.source_index]
+    while stack:
+        u = stack.pop()
+        for e in range(len(net.edge_rates) - 1):
+            w = net.edge_heads[e]
+            if net.edge_tails[e] == u and w != removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return v in seen
 
 
 def oracle_mgf(net, a_mask, s):

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -325,3 +326,16 @@ def test_thin_window_refuses_stderr(tri):
     assert full.events_used == 32
     assert a.time_average_stderr(full, "d") > 0.0
     a.subset_time_average(full, tri.subset_mask(["v", "d"]))
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-110])
+def test_overflowing_integrals_raise(rate):
+    # ages near 1/rate: at 1e-110 their square fits a float, their cube not
+    net = triangle(rate, rate, rate, rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(errors.IntegralOverflow):
+            run(net, 1000, 3)
+    res = run(triangle(1e-90, 1e-90, 1e-90, 1e-90), 1000, 3)
+    assert math.isfinite(a.time_average_stderr(res, "d"))
+    assert a.time_average(res, "d") == pytest.approx(1.75e90, rel=0.5)
