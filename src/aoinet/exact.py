@@ -261,7 +261,7 @@ def _region_walk(net: AugmentedNetwork, into, nodes: list[int], d: int):
 
 
 def average_age(
-    net: AugmentedNetwork, a: int, max_nodes: int | None = None
+    net: AugmentedNetwork, a: int, max_nodes: int | None = None, *, _split=None
 ) -> float:
     """Exact E[age] of subset ``a``, split at its nearest common dominator.
 
@@ -269,12 +269,18 @@ def average_age(
     mean(a) = mean(d) + the walk from ``a`` based at d, where mean(d) is
     summed by a loop down the dominator path.  The size limit counts the
     nodes of the largest walk, its base dominator included.
+
+    :func:`chain_average_ages` passes ``_split`` and asks for each node
+    after its dominator; the node then reads the walk it shares with its
+    siblings, which the size limit has already counted.
     """
     check_subset(net, a)
     src = net.source_index
     if a >> src & 1:
         _check_size(1, max_nodes, _WALK_NODES)
         return 1.0 / net.lam
+    if _split is not None:
+        return _split.node_mean(a.bit_length() - 1)
     idom, rank = _idoms(net)
     nodes = [v for v in range(net.n_user) if a >> v & 1]
     d = idom[nodes[0]]
@@ -292,30 +298,45 @@ def average_age(
     return mean
 
 
+class _Split:
+    """The dominator tree of a network with one mean walk per dominator.
+
+    The children of a dominator share its walk; each meets only its own
+    edges in it, so a child's mean equals :func:`average_age`'s.
+    """
+
+    def __init__(self, net: AugmentedNetwork):
+        self.idom, rank = _idoms(net)
+        self.order = sorted(range(net.n_user), key=rank.__getitem__)  # source first
+        children: dict[int, list[int]] = {}
+        for v in self.order[1:]:
+            children.setdefault(self.idom[v], []).append(v)
+        into = _in_edges(net)
+        self.walks = {d: _region_walk(net, into, vs, d) for d, vs in children.items()}
+        self.largest = max((size for size, _ in self.walks.values()), default=1)
+        self.mean = [0.0] * net.n_user  # the source's 1/lambda is the base of its walk
+
+    def node_mean(self, v: int) -> float:
+        """mean(idom v) + the walk from v; idom v's mean must be known."""
+        d = self.idom[v]
+        self.mean[v] = self.mean[d] + self.walks[d][1](1 << v)
+        return self.mean[v]
+
+
 def chain_average_ages(
     net: AugmentedNetwork, max_nodes: int | None = None
 ) -> AgeTable:
     """Exact E[age] of every single node, one walk per dominator.
 
-    mean(v) = mean(idom v) + the walk from v based at idom v.  The children
-    of a dominator share one walk, which the size limit counts; each child
-    meets only its own edges in it, so values equal :func:`average_age`'s.
+    Each node is one :func:`average_age` query, in breadth-first order so
+    that a dominator's mean is known before its children's.  The size
+    limit counts the largest shared walk.
     """
-    src = net.source_index
-    idom, rank = _idoms(net)
-    order = sorted(range(net.n_user), key=rank.__getitem__)[1:]  # after the source
-    children: dict[int, list[int]] = {}
-    for v in order:
-        children.setdefault(idom[v], []).append(v)
-    into = _in_edges(net)
-    walks = {d: _region_walk(net, into, vs, d) for d, vs in children.items()}
-    largest = max((size for size, _ in walks.values()), default=1)
-    _check_size(largest, max_nodes, _WALK_NODES)
-    mean = [0.0] * net.n_user  # the source's 1/lambda is the base of its walk
-    values = {1 << src: 1.0 / net.lam}
-    for v in order:
-        mean[v] = mean[idom[v]] + walks[idom[v]][1](1 << v)
-        values[1 << v] = mean[v]
+    split = _Split(net)
+    _check_size(split.largest, max_nodes, _WALK_NODES)
+    values = {
+        1 << v: average_age(net, 1 << v, max_nodes, _split=split) for v in split.order
+    }
     return AgeTable(values, net.fingerprint)
 
 

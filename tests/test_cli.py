@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -455,6 +456,40 @@ def test_long_chain_means_at_default_limit(capsys, tmp_path):
         assert len(rows) == 2001
         assert rows[-1]["target"] == "v2000"
         assert rows[-1]["value"] == node["value"]
+
+
+def test_cascade_counts_the_nodes_of_a_long_two_path_block(
+    capsys, tmp_path, monkeypatch
+):
+    # two 12-node paths from cut vertex c to t, then a second block t -> w;
+    # t's walk is based at c and spans both paths: 24 + t + c = 26 nodes,
+    # though it reaches only 13 * 13 supersets
+    edges = [("s", "c", 1)]
+    for p in "ab":
+        hops = ["c"] + [f"{p}{i}" for i in range(1, 13)] + ["t"]
+        edges += [(u, v, 1) for u, v in zip(hops, hops[1:])]
+    edges.append(("t", "w", 1))
+    path = tmp_path / "two_paths.json"
+    path.write_text(net_json(1.0, "s", edges))
+    for command in (["cascade"], ["exact", "--all"], ["exact", "--node", "t"]):
+        code, out, err = run_cli(capsys, command[0], "--net", str(path), *command[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "26 nodes in one mean walk" in err
+    monkeypatch.setenv("AOI_MAX_EXACT_NODES", "26")
+    code, out, _ = run_cli(capsys, "cascade", "--net", str(path))
+    assert code == 0
+    by_target = {r["target"]: r["value"] for r in rows_of(out)}
+    assert len(by_target) == 28
+    # E[min of two independent Erlang(13, 1) path lengths]
+    shorter = sum(
+        math.comb(j + k, j) / 2 ** (j + k + 1) for j in range(13) for k in range(13)
+    )
+    assert by_target["c"] == pytest.approx(2.0, rel=1e-12)
+    assert by_target["t"] == pytest.approx(2.0 + shorter, rel=1e-12)
+    assert by_target["w"] == pytest.approx(3.0 + shorter, rel=1e-12)
+    code, out, _ = run_cli(capsys, "exact", "--net", str(path), "--node", "t")
+    assert code == 0
+    assert rows_of(out)[0]["value"] == by_target["t"]
 
 
 @pytest.mark.parametrize(
