@@ -1,9 +1,9 @@
 """Age-of-information analysis for single-source preemptive networks.
 
 Four mutually-verifying routes to the stationary age law at every node (and
-node subset): exact subset recursion, MGF recursion with numerical
-inversion, Monte Carlo shortest-path sampling, and discrete-event
-simulation of the actual preemptive dynamics.
+node subset): exact subset recursion, its phase-type form (MGF values,
+CDF values by uniformization, Chernoff bounds), Monte Carlo shortest-path
+sampling, and discrete-event simulation of the actual preemptive dynamics.
 """
 
 from .closed_forms import (
@@ -19,7 +19,7 @@ from .exact import (
     TailQuery,
     average_age,
     average_age_all,
-    cdf_via_inversion,
+    cdf_grid,
     chain_average_ages,
     chernoff_bound,
     mgf,
@@ -73,7 +73,7 @@ __all__ = [
     "average_age",
     "average_age_all",
     "boundary",
-    "cdf_via_inversion",
+    "cdf_grid",
     "chain_average_ages",
     "chernoff_bound",
     "empirical_cdf",

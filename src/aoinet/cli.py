@@ -171,24 +171,18 @@ def cmd_cdf(args):
             f"at most {MAX_GRID_POINTS} are allowed"
         )
     grid = np.arange(start, stop + step * 0.5, step)
-    rows = []
     if args.method == "inversion":
-        for d in grid:
-            value = exact_mod.cdf_via_inversion(net, exact_mod.TailQuery(mask, d))
-            rows.append(_row(name, "cdf-inversion", value, d=d))
-    else:
-        if args.samples is None:
-            raise AoiError("--method sample requires --samples")
-        seed = _seed_of(args)
-        batch = sampler_mod.sample_ages(
-            net, args.samples, sampler_mod.RngPolicy(seed)
-        )
-        for d in grid:
-            value = sampler_mod.empirical_cdf(batch, mask, d)
-            stderr = (value * (1.0 - value) / batch.n) ** 0.5
-            rows.append(
-                _row(name, "cdf-sample", value, stderr, d=d, n=batch.n, seed=seed)
-            )
+        values = exact_mod.cdf_grid(net, mask, grid)
+        return [_row(name, "cdf-inversion", v, d=d) for v, d in zip(values, grid)]
+    if args.samples is None:
+        raise AoiError("--method sample requires --samples")
+    seed = _seed_of(args)
+    batch = sampler_mod.sample_ages(net, args.samples, sampler_mod.RngPolicy(seed))
+    rows = []
+    for d in grid:
+        value = sampler_mod.empirical_cdf(batch, mask, d)
+        stderr = (value * (1.0 - value) / batch.n) ** 0.5
+        rows.append(_row(name, "cdf-sample", value, stderr, d=d, n=batch.n, seed=seed))
     return rows
 
 

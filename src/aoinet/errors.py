@@ -53,10 +53,8 @@ class OutsideConvergenceRegion(AoiError):
     pass
 
 
-class QuadratureNotConverged(AoiError):
-    def __init__(self, message, error_estimate):
-        super().__init__(f"{message} (achieved error estimate {error_estimate:.3e})")
-        self.error_estimate = error_estimate
+class TooStiff(AoiError):
+    """A CDF needs more uniformization jumps than ``exact.MAX_JUMPS``."""
 
 
 class EmptyWindow(AoiError):
@@ -64,7 +62,7 @@ class EmptyWindow(AoiError):
 
 
 class IntegralOverflow(AoiError):
-    """A window integral or batch mean of the simulated ages is not finite."""
+    """A window integral, batch mean or sample moment of ages is not finite."""
 
 
 class TooFewEvents(AoiError):

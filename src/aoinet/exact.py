@@ -7,14 +7,13 @@ so mean(A) = mean(d) + a mean walk from A based at d, over the in-edges of
 the nodes that reach A without passing d.  A walk costs time exponential
 in the nodes it touches, which the exact-engine limit bounds.
 
-Distributional quantities come from the matching recursion for
-E[exp(s * age)] over the whole network, at real s (Chernoff bounds) or on
-the imaginary axis (CDF points via Gil-Pelaez inversion).  Every MGF query
-compiles one cut plan: a single walk lists the supersets the recursion
-reaches from the queried subset, in dependency order, with their boundary
-rate sums and (rate, successor) terms.  Each evaluation of E[exp(s * age)]
-is one loop over that plan, with the recursion's arithmetic, and the
-convergence bound is the plan's smallest boundary sum.
+Distributional quantities come from one cut plan per query: the supersets
+the recursion reaches from the queried subset, in dependency order, with
+their boundary rate sums and (rate, successor) terms.  The age is the time
+to absorption of the chain that leaves each entry at its rate sum and ends
+with an Exp(lambda) stage; CDF values uniformize it (Jensen 1953; Grassmann
+1977), and E[exp(s * age)] is one loop over the plan, which converges below
+the plan's smallest boundary sum.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  Subsets are bitmasks over user-node indices; the virtual
@@ -26,22 +25,20 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AoiError,
-    NetworkTooLarge,
-    OutsideConvergenceRegion,
-    QuadratureNotConverged,
-)
+from .errors import AoiError, NetworkTooLarge, OutsideConvergenceRegion, TooStiff
 from .network import AugmentedNetwork, bfs_order, check_subset
 
 DEFAULT_MAX_EXACT_NODES = 20
 HARD_MAX_EXACT_NODES = 28
 MAX_NODES_ENV = "AOI_MAX_EXACT_NODES"
 _WALK_NODES = "nodes in one mean walk"
+MAX_JUMPS = 1 << 20  # uniformization jumps one cdf_grid call may take
+_CDF_TOL = 1e-15  # bound on each cdf_grid value's relative truncation error
 
 
 @dataclass(frozen=True)
@@ -415,82 +412,83 @@ def mgf(
     return _phi(plan, net.lam, s)
 
 
-def cdf_via_inversion(
-    net: AugmentedNetwork,
-    q: TailQuery,
-    tol: float = 1e-6,
-    max_nodes: int | None = None,
-) -> float:
-    """Pr[age <= d] by Gil-Pelaez inversion of the characteristic function.
+def _absorption(plan, lam: float, rate: float, x: float):
+    """Mass absorbed and mass left after each jump of the uniformized chain.
 
-    Pr[age <= d] = 1/2 - (1/pi) * int_0^inf Im(phi(w) e^{-iwd}) / w dw.
-    The integrand has a finite limit at w = 0; the oscillating tail is
-    integrated with trigonometric-weight quadrature up to a cutoff where
-    |phi| has decayed below 1e-10 relative to w.
+    Slot i + 1 holds plan entry i, slot 0 the final Exp(lambda) stage; a jump
+    moves mass only to lower slots.  Stops at the first K where the error
+    bound Pr[N > K] * left[K] of :func:`cdf_grid` at Poisson mean x is below
+    ``_CDF_TOL`` relative to its value there, and so at every smaller mean.
     """
-    from scipy.integrate import quad  # on first use: most of the import time
+    stay = [1.0 - lam / rate] + [1.0 - mu / rate for mu, _ in plan]
+    moves = [()] + [[(r / rate, j) for r, j in terms] for _, terms in plan]
+    p = [0.0] * len(plan) + [1.0]
+    gone, absorbed, left = 0.0, array("d", [0.0]), array("d", [1.0])
+    log_x, log_w = math.log(x), -x  # log Pois(k; x)
+    head = 0.0  # sum over j <= k of Pois(j; x) * absorbed[j]
+    for k in range(MAX_JUMPS + 1):
+        w = math.exp(log_w)
+        head += w * gone
+        # Pr[N > k] <= Pois(k; x) * x / (k + 1 - x) once k + 1 > x
+        tail = min(1.0, w * x / (k + 1 - x)) if k + 1 > x else 1.0
+        if tail * (left[k] - _CDF_TOL * gone) <= _CDF_TOL * head:
+            return absorbed, left
+        nxt = [q * f for q, f in zip(p, stay)]
+        for q, mv in zip(p, moves):
+            if q:
+                for f, j in mv:
+                    nxt[j] += q * f
+        gone += p[0] * (lam / rate)
+        absorbed.append(gone)
+        p = nxt
+        left.append(sum(p))
+        log_w += log_x - math.log(k + 1)
+    raise TooStiff(
+        f"the CDF needs over {MAX_JUMPS} uniformization jumps at rate {rate:.3g}"
+    )
 
-    check_subset(net, q.subset)
+
+def _window(x: float) -> tuple[int, int]:
+    """Jump counts outside which Poisson(x) holds under about 1e-30."""
+    spread = 12.0 * math.sqrt(x) + 50.0
+    return max(0, math.floor(x - spread)), math.ceil(x + spread)
+
+
+def cdf_grid(
+    net: AugmentedNetwork, a: int, grid, max_nodes: int | None = None
+) -> np.ndarray:
+    """Pr[age <= d] of subset ``a`` at every threshold d of ``grid``.
+
+    Uniformized at L = max(lambda, max mu), with a_k the mass absorbed after
+    k jumps (:func:`_absorption`; all of it at K + 1, past the last jump K),
+    Pr[age <= d] is the mean of a_N over N ~ Poisson(L d).  Below L d = K + 1
+    a value under 1/2 is summed as sum(Pois * a), keeping the relative
+    accuracy of tiny values; the others are 1 - sum(Pois * (1 - a)).
+    """
+    check_subset(net, a)
     _check_size(net.n_user, max_nodes)
-    d = q.d
-    if d < 0:
-        raise ValueError(f"threshold d must be non-negative, got {d}")
-    if d == 0.0:
-        # age has a density (it includes an Exp(lambda) summand)
-        return 0.0
-
-    plan = _cut_plan(net, q.subset)
-    # the cos- and sin-weighted tail passes share most of their nodes
-    seen: dict[float, complex] = {}
-
-    def phi(w: float) -> complex:
-        got = seen.get(w)
-        if got is None:
-            got = seen[w] = _phi(plan, net.lam, 1j * w)
-        return got
-
-    # truncation: |phi(w)| decays at least like 1/w^2 for every subset
-    omega_max = 16.0 * (net.total_rate + 1.0 / d)
-    while abs(phi(omega_max)) / omega_max > 1e-10 and omega_max < 1e12:
-        omega_max *= 2.0
-
-    def integrand(w: float) -> float:
-        if w < 1e-12:
-            # limit of Im(phi(w) e^{-iwd}) / w as w -> 0; Gauss-Kronrod nodes
-            # lie inside their intervals, so quad in practice never asks
-            mean = average_age(net, q.subset, max_nodes=max_nodes)
-            return mean - d
-        return (phi(w) * np.exp(-1j * w * d)).imag / w
-
-    # low part: at most half an oscillation of e^{-iwd}
-    omega_0 = min(omega_max, math.pi / d)
-    total, est = quad(integrand, 0.0, omega_0, epsabs=tol * 1e-3, limit=200)
-    if omega_0 < omega_max:
-        # Im(phi e^{-iwd})/w = Im(phi)/w cos(wd) - Re(phi)/w sin(wd)
-        i_cos, e1 = quad(
-            lambda w: phi(w).imag / w,
-            omega_0,
-            omega_max,
-            weight="cos",
-            wvar=d,
-            epsabs=tol * 1e-3,
-            limit=200,
-        )
-        i_sin, e2 = quad(
-            lambda w: phi(w).real / w,
-            omega_0,
-            omega_max,
-            weight="sin",
-            wvar=d,
-            epsabs=tol * 1e-3,
-            limit=200,
-        )
-        total += i_cos - i_sin
-        est += e1 + e2
-    if est / math.pi > tol:
-        raise QuadratureNotConverged("CDF inversion did not converge", est / math.pi)
-    value = 0.5 - total / math.pi
-    return min(1.0, max(0.0, value))
+    d = np.asarray(grid, dtype=float).ravel()
+    if not np.all(d >= 0.0):
+        raise ValueError(f"thresholds d must be non-negative, got {d.min()}")
+    plan = _cut_plan(net, a)
+    rate = max([net.lam] + [mu for mu, _ in plan])
+    x = np.minimum(rate * d, np.finfo(float).max)  # Poisson means
+    out = np.zeros(d.shape)  # age has a density, so Pr[age <= 0] = 0
+    if not x.any():
+        return out
+    absorbed, left = _absorption(plan, net.lam, rate, float(x.max()))
+    jumps = len(absorbed)  # K + 1
+    top = _window(jumps)[1]  # past the window of every L d below K + 1
+    settled = np.concatenate([absorbed, np.ones(top + 1 - jumps)])
+    unsettled = np.concatenate([left, np.zeros(top + 1 - jumps)])
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+    for i in np.flatnonzero(x):
+        lo, hi = _window(x[i])
+        ks = np.arange(min(lo, top + 1), min(hi, top) + 1)
+        w = np.exp(ks * math.log(x[i]) - x[i] - log_fact[ks])
+        hit = settled[ks] @ w
+        out[i] = hit if x[i] < jumps and hit < 0.5 else 1.0 - unsettled[ks] @ w
+    return np.clip(out, 0.0, 1.0)
 
 
 def chernoff_bound(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubset, SubsetContainsVirtualSource
+from .errors import EmptySubset, IntegralOverflow, SubsetContainsVirtualSource
 from .network import AugmentedNetwork, bfs_order, check_subset
 
 _MASK64 = (1 << 64) - 1
@@ -234,17 +234,24 @@ def _subset_ages(batch: SampleBatch, a: int) -> np.ndarray:
     return batch.ages[:, cols].min(axis=1)
 
 
+def _check_finite(*moments: float) -> None:
+    if not all(map(math.isfinite, moments)):
+        raise IntegralOverflow("a moment of the sampled ages is not finite")
+
+
 def estimate(
     batch: SampleBatch, a: int, f: Functional
 ) -> tuple[float, float]:
-    """Sample mean and standard error of ``f`` applied to the subset age."""
-    vals = f.apply(_subset_ages(batch, a))
-    est = float(vals.mean())
-    if batch.n > 1:
-        stderr = float(vals.std(ddof=1) / math.sqrt(batch.n))
-    else:
-        stderr = float("inf")
-    return est, stderr
+    """Sample mean and standard error of ``f`` applied to the subset age.
+
+    Raises :class:`IntegralOverflow` if the mean or variance is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f.apply(_subset_ages(batch, a))
+        est = float(vals.mean())
+        var = float(vals.var(ddof=1)) if batch.n > 1 else 0.0
+    _check_finite(est, var)
+    return est, math.sqrt(var) / math.sqrt(batch.n) if batch.n > 1 else math.inf
 
 
 def empirical_cdf(batch: SampleBatch, a: int, d: float) -> float:
@@ -260,7 +267,7 @@ def fold_estimate(
     Identical streams as :func:`sample_ages`, without materializing the
     n x |V| matrix.  The estimate matches :func:`estimate` on that batch to
     rounding; the standard error comes from sums grouped per chunk, so it
-    can differ from :func:`estimate`'s in the last digit.
+    can differ from :func:`estimate`'s in the last digit.  Raises like it.
     """
     check_subset(net, a)
     if n < 1:
@@ -268,10 +275,12 @@ def fold_estimate(
     total = 0.0
     total_sq = 0.0
     cols = [i for i in range(net.n_user) if a >> i & 1]
-    for _, dist in _chunks(net, rng, n):
-        vals = f.apply(dist[cols].min(axis=0))
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, dist in _chunks(net, rng, n):
+            vals = f.apply(dist[cols].min(axis=0))
+            total += float(vals.sum())
+            total_sq += float((vals * vals).sum())
+    _check_finite(total, total_sq)
     est = total / n
     if n > 1:
         var = max(0.0, (total_sq - n * est * est) / (n - 1))

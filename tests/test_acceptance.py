@@ -99,7 +99,7 @@ def test_criterion_06_distribution_pipeline():
     net = two_node()
     d_mask = net.subset_mask(["d"])
     oracle = 1.0 - 2.0 * math.exp(-1.0)
-    inv = a.cdf_via_inversion(net, a.TailQuery(d_mask, 1.0))
+    (inv,) = a.cdf_grid(net, d_mask, [1.0])
     batch = a.sample_ages(net, 1_000_000, a.RngPolicy(606))
     emp = a.empirical_cdf(batch, d_mask, 1.0)
     res = a.simulate(

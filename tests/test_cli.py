@@ -421,6 +421,7 @@ def test_bad_arguments_refused(capsys, tri_file, args, code):
         ["simulate", "--events", "1000"],
         ["compare", "--node", "d", "--samples", "1000", "--events", "1000"],
         ["compare", "--node", "{v,d}", "--samples", "1000", "--events", "1000"],
+        ["sample", "--samples", "1000"],
     ],
 )
 def test_overflowing_integrals_refused(capsys, tmp_path, argv):
@@ -435,6 +436,32 @@ def test_overflowing_integrals_refused(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "rate, grid, want",
+    [(1e-300, "1:1:1", 0.0), (1e300, "1:1:1", 1.0), (1.0, "1e6:1e6:1", 1.0)],
+)
+def test_cdf_at_extreme_scales(capsys, tmp_path, rate, grid, want):
+    path = tmp_path / "net.json"
+    path.write_text(_doc(rate, [rate] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "cdf", "--net", str(path), "--node", "d", "--d-grid", grid
+        )
+    assert code == 0 and err == ""
+    assert [r["value"] for r in rows_of(out)] == [want]
+
+
+def test_cdf_too_stiff_refused(capsys, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(_doc(1.0, [1.0, 1.0, 1e9]))
+    code, out, err = run_cli(
+        capsys, "cdf", "--net", str(path), "--node", "d", "--d-grid", "0:4:0.25"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "uniformization jumps" in err
 
 
 def test_long_chain_means_at_default_limit(capsys, tmp_path):
@@ -528,7 +555,13 @@ def test_simulate_smallest_window_with_stderr(capsys, tri_file):
 
 @pytest.mark.parametrize(
     "argv",
-    [["validate"], ["exact", "--node", "d"], ["exact", "--all"], ["cascade"]],
+    [
+        ["validate"],
+        ["exact", "--node", "d"],
+        ["exact", "--all"],
+        ["cascade"],
+        ["cdf", "--node", "d", "--d-grid", "0:2:0.5"],
+    ],
 )
 def test_cheap_commands_skip_scipy_and_networkx(tri_file, argv):
     # a fresh interpreter, so modules other tests loaded do not count

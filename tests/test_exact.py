@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,36 @@ from conftest import (
     triangle_chain,
     two_node,
 )
+
+
+def reached_set_cdf(net, mask, grid):
+    """Pr[age <= d] from the forward chain of reached node sets, by expm.
+
+    The set of nodes a packet has reached by time t is a Markov chain on
+    the augmented graph that starts at the virtual source; the age of
+    ``mask`` is its hitting time of the sets that meet ``mask``.
+    """
+    from scipy.linalg import expm
+
+    start = 1 << net.theta_prime_index
+    index, order, rates = {start: 0}, [start], []
+    for k, m in enumerate(order):  # grows while it is walked
+        if m & mask:
+            continue  # absorbing
+        for e, r in enumerate(net.edge_rates):
+            u, v = net.edge_tails[e], net.edge_heads[e]
+            if m >> u & 1 and not m >> v & 1:
+                nxt = m | 1 << v
+                if nxt not in index:
+                    index[nxt] = len(order)
+                    order.append(nxt)
+                rates.append((k, index[nxt], r))
+    q = np.zeros((len(order), len(order)))
+    for i, j, r in rates:
+        q[i, j] += r
+        q[i, i] -= r
+    hit = np.array([m & mask != 0 for m in order])
+    return np.array([expm(q * d)[0, hit].sum() for d in grid])
 
 
 def erlang2_cdf(x, rate=1.0):
@@ -375,8 +406,8 @@ class TestCutPlan:
         for mask in plan_targets(net):
             plan = exact._cut_plan(net, mask)
             bound = oracle_bound(net, mask)
-            # imaginary s as the CDF inversion passes it, real s as plain
-            # floats and as the numpy floats of the Chernoff grid
+            # imaginary s (mgf takes complex s), real s as plain floats
+            # and as the numpy floats of the Chernoff grid
             points = [1j * w for w in (1e-9, 0.37, 2.0, 55.5, 1e4)]
             points += [-3.0, 0.0, 0.5 * bound, bound * (1.0 - 1e-6)]
             points += list(np.geomspace(bound * 1e-8, bound * 0.999, 5))
@@ -403,7 +434,7 @@ def test_one_plan_per_query(monkeypatch):
 
     monkeypatch.setattr(exact, "_cut_plan", counted)
     monkeypatch.setattr(exact, "average_age", None)  # no mean walk either
-    exact.cdf_via_inversion(net, a.TailQuery(1 << 7, 2.0))
+    exact.cdf_grid(net, 1 << 7, [0.5, 2.0])
     exact.chernoff_bound(net, a.TailQuery(1 << 7, 4.0))
     exact.mgf(net, a.MgfQuery(1 << 7, 0.1))
     assert len(plans) == 3
@@ -412,16 +443,16 @@ def test_one_plan_per_query(monkeypatch):
 class TestCdfInversion:
     def test_at_zero(self, tri):
         d = tri.subset_mask(["d"])
-        assert a.cdf_via_inversion(tri, a.TailQuery(d, 0.0)) == 0.0
+        assert a.cdf_grid(tri, d, [0.0]).tolist() == [0.0]
 
     def test_two_node_erlang(self, two):
         d = two.subset_mask(["d"])
-        got = a.cdf_via_inversion(two, a.TailQuery(d, 1.0))
+        (got,) = a.cdf_grid(two, d, [1.0])
         assert got == pytest.approx(erlang2_cdf(1.0), abs=1e-6)
 
     def test_triangle_vs_empirical(self, tri):
         d = tri.subset_mask(["d"])
-        got = a.cdf_via_inversion(tri, a.TailQuery(d, 2.0))
+        (got,) = a.cdf_grid(tri, d, [2.0])
         batch = a.sample_ages(tri, 1_000_000, a.RngPolicy(23))
         emp = a.empirical_cdf(batch, d, 2.0)
         assert abs(got - emp) < 0.005
@@ -430,9 +461,7 @@ class TestCdfInversion:
         for net in (two_node(), triangle(), random_ssn(4, 9)):
             d_mask = 1 << (net.n_user - 1)
             grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
-            vals = [
-                a.cdf_via_inversion(net, a.TailQuery(d_mask, x)) for x in grid
-            ]
+            vals = a.cdf_grid(net, d_mask, grid).tolist()
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(x <= y + 1e-9 for x, y in zip(vals, vals[1:]))
 
@@ -442,19 +471,51 @@ class TestCdfInversion:
                 1.0 / r for r in net.edge_rates[:-1]
             )
             for v in range(net.n_user):
-                val = a.cdf_via_inversion(net, a.TailQuery(1 << v, proxy))
+                (val,) = a.cdf_grid(net, 1 << v, [proxy])
                 assert 0.0 < val < 1.0
 
-    def test_unconverged_quadrature_raises(self, tri):
-        # the achieved error estimate here is about 9.2e-10
-        q = a.TailQuery(tri.subset_mask(["d"]), 1.0)
-        with pytest.raises(errors.QuadratureNotConverged) as info:
-            a.cdf_via_inversion(tri, q, tol=1e-12)
-        assert 1e-12 < info.value.error_estimate < 1e-8
+    @pytest.mark.parametrize(
+        "net", [triangle(), random_ssn(4, 9), random_ssn(5, 0), random_ssn(8, 2024)]
+    )
+    def test_matches_matrix_exponential(self, net):
+        grid = np.arange(0.0, 4.125, 0.25)
+        top = 1 << (net.n_user - 1)
+        for mask in [1 << v for v in range(net.n_user)] + [top | top >> 1]:
+            got = a.cdf_grid(net, mask, grid)
+            want = reached_set_cdf(net, mask, grid)
+            assert np.abs(got - want).max() < 1e-12
+            assert np.all(np.diff(got) >= 0.0)
+            assert 0.0 <= got.min() and got.max() <= 1.0
+
+    def test_two_node_tiny_and_huge_thresholds(self, two):
+        d = two.subset_mask(["d"])
+        x = 1e-9
+        tiny, huge = a.cdf_grid(two, d, [x, 1e6])
+        assert tiny == pytest.approx(x * x / 2 - x**3 / 3, rel=1e-6)
+        assert huge == 1.0
+
+    def test_triangle_huge_threshold_is_one(self, tri):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert a.cdf_grid(tri, tri.subset_mask(["d"]), [1e6]).tolist() == [1.0]
+
+    def test_stiff_triangle_still_computed(self):
+        net = triangle(mu_sd=1e5)
+        grid = np.arange(0.0, 4.125, 0.25)
+        got = a.cdf_grid(net, net.subset_mask(["d"]), grid)
+        want = reached_set_cdf(net, net.subset_mask(["d"]), grid)
+        assert np.abs(got - want).max() < 1e-9
+        assert np.all(np.diff(got) >= 0.0)
+
+    def test_stiffer_than_the_jump_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_JUMPS", 1000)
+        net = triangle(mu_sd=1e4)
+        with pytest.raises(errors.TooStiff, match="over 1000 uniformization jumps"):
+            a.cdf_grid(net, net.subset_mask(["d"]), [1.0])
 
     def test_negative_threshold_rejected(self, two):
         with pytest.raises(ValueError):
-            a.cdf_via_inversion(two, a.TailQuery(two.subset_mask(["d"]), -1.0))
+            a.cdf_grid(two, two.subset_mask(["d"]), [-1.0])
 
 
 class TestChernoff:
@@ -488,7 +549,7 @@ class TestChernoff:
             mask = 1 << (net.n_user - 1)
             for x in (1.0, 3.0, 6.0):
                 cb = a.chernoff_bound(net, a.TailQuery(mask, x))
-                tail = 1.0 - a.cdf_via_inversion(net, a.TailQuery(mask, x))
+                tail = 1.0 - a.cdf_grid(net, mask, [x])[0]
                 assert cb >= tail - 1e-6
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -276,6 +277,24 @@ def test_fold_matches_batch_estimate(tri):
     fold_est = a.fold_estimate(tri, n, rng, d, a.Functional.mean())
     assert batch_est[0] == pytest.approx(fold_est[0], rel=1e-12)
     assert batch_est[1] == pytest.approx(fold_est[1], rel=1e-9)
+
+
+def test_overflowing_moments_raise():
+    # ages near 1e300: the mean fits a float, the square does not
+    net = triangle(1e-300, 1e-300, 1e-300, 1e-300)
+    d = net.subset_mask(["d"])
+    rng = a.RngPolicy(3)
+    batch = a.sample_ages(net, 1000, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(errors.IntegralOverflow):
+            a.estimate(batch, d, a.Functional.mean())
+        with pytest.raises(errors.IntegralOverflow):
+            a.fold_estimate(net, 1000, rng, d, a.Functional.mean())
+        est, stderr = a.estimate(
+            a.sample_ages(net, 1, rng), d, a.Functional.mean()
+        )
+    assert math.isfinite(est) and stderr == math.inf
 
 
 def test_functional_validation():
