@@ -40,8 +40,8 @@ from .sampler import (
     SampleBatch,
     empirical_cdf,
     estimate,
-    fold_estimate,
     sample_ages,
+    sample_subset_ages,
 )
 from .simulator import (
     SimConfig,
@@ -79,11 +79,11 @@ __all__ = [
     "empirical_cdf",
     "equal_age_fraction",
     "estimate",
-    "fold_estimate",
     "mgf",
     "mgf_convergence_bound",
     "parse_network",
     "sample_ages",
+    "sample_subset_ages",
     "serial_cascade_age",
     "simulate",
     "subset_time_average",

@@ -177,12 +177,13 @@ def cmd_cdf(args):
     if args.samples is None:
         raise AoiError("--method sample requires --samples")
     seed = _seed_of(args)
-    batch = sampler_mod.sample_ages(net, args.samples, sampler_mod.RngPolicy(seed))
+    n = args.samples
+    ages = sampler_mod.sample_subset_ages(net, mask, n, sampler_mod.RngPolicy(seed))
     rows = []
     for d in grid:
-        value = sampler_mod.empirical_cdf(batch, mask, d)
-        stderr = (value * (1.0 - value) / batch.n) ** 0.5
-        rows.append(_row(name, "cdf-sample", value, stderr, d=d, n=batch.n, seed=seed))
+        value = sampler_mod.empirical_cdf(ages, mask, d)
+        stderr = (value * (1.0 - value) / n) ** 0.5
+        rows.append(_row(name, "cdf-sample", value, stderr, d=d, n=n, seed=seed))
     return rows
 
 
@@ -272,8 +273,10 @@ def cmd_compare(args):
     else:
         sim_val, sim_se = sim_mod.subset_time_average(res, mask)
 
-    batch = sampler_mod.sample_ages(net, args.samples, sampler_mod.RngPolicy(seed))
-    samp, samp_se = sampler_mod.estimate(batch, mask, sampler_mod.Functional.mean())
+    ages = sampler_mod.sample_subset_ages(
+        net, mask, args.samples, sampler_mod.RngPolicy(seed)
+    )
+    samp, samp_se = sampler_mod.estimate(ages, mask, sampler_mod.Functional.mean())
 
     gate_sampler = abs(samp - exact_val) <= 4.0 * samp_se
     gate_sim = abs(sim_val - exact_val) <= 4.0 * sim_se

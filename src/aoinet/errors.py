@@ -65,6 +65,10 @@ class IntegralOverflow(AoiError):
     """A window integral, batch mean or sample moment of ages is not finite."""
 
 
+class IntegralUnderflow(AoiError):
+    """A window integral or sample variance of ages is below the normal floats."""
+
+
 class TooFewEvents(AoiError):
     """The kept window holds too few events for batch-means error bars."""
 

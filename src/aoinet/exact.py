@@ -419,7 +419,18 @@ def _absorption(plan, lam: float, rate: float, x: float):
     moves mass only to lower slots.  Stops at the first K where the error
     bound Pr[N > K] * left[K] of :func:`cdf_grid` at Poisson mean x is below
     ``_CDF_TOL`` relative to its value there, and so at every smaller mean.
+
+    Mass is absorbed only from slot 0, which keeps it with probability
+    1 - lam/rate per jump, so left[k] >= (1 - lam/rate)**k.  While k + 1 <= x
+    the tail factor is 1 and head and gone are at most 1, so stopping needs
+    left[k] <= 2 * _CDF_TOL; a query where that bound cannot fall so low
+    within ``MAX_JUMPS`` jumps is refused before the loop.
     """
+    too_stiff = TooStiff(
+        f"the CDF needs over {MAX_JUMPS} uniformization jumps at rate {rate:.3g}"
+    )
+    if x >= MAX_JUMPS + 1 and (1.0 - lam / rate) ** MAX_JUMPS > 2.0 * _CDF_TOL:
+        raise too_stiff
     stay = [1.0 - lam / rate] + [1.0 - mu / rate for mu, _ in plan]
     moves = [()] + [[(r / rate, j) for r, j in terms] for _, terms in plan]
     p = [0.0] * len(plan) + [1.0]
@@ -443,9 +454,7 @@ def _absorption(plan, lam: float, rate: float, x: float):
         p = nxt
         left.append(sum(p))
         log_w += log_x - math.log(k + 1)
-    raise TooStiff(
-        f"the CDF needs over {MAX_JUMPS} uniformization jumps at rate {rate:.3g}"
-    )
+    raise too_stiff
 
 
 def _window(x: float) -> tuple[int, int]:

@@ -352,6 +352,38 @@ def check_subset(net: AugmentedNetwork, a: int) -> None:
         raise KeyError(f"subset mask {a:#x} has bits beyond the node range")
 
 
+def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
+    """The network induced by the user nodes that reach subset ``a``.
+
+    A path into ``a`` uses only edges into these nodes, so the subset's age
+    law is unchanged.  Labels, rates, lambda and the virtual edge are kept,
+    so every edge keeps its ``edge_key``; node indices are renumbered.  Every
+    kept node is reachable from the source through kept nodes, so the
+    result is a valid network.
+    """
+    check_subset(net, a)
+    tails_into: list[list[int]] = [[] for _ in range(net.n_user)]
+    for u, v in zip(net.edge_tails[:-1], net.edge_heads[:-1]):
+        tails_into[v].append(u)
+    kept = [v for v in range(net.n_user) if a >> v & 1]
+    seen = set(kept)
+    for v in kept:  # the list grows while it is walked
+        for u in tails_into[v]:
+            if u not in seen:
+                seen.add(u)
+                kept.append(u)
+    names = {net.node_names[v] for v in seen}
+    spec = net.base
+    return validate_ssn(
+        NetworkSpec(
+            tuple(x for x in spec.nodes if x in names),
+            tuple(e for e in spec.edges if e.to in names),
+            spec.source,
+            spec.lam,
+        )
+    )
+
+
 def boundary(net: AugmentedNetwork, a: int) -> Boundary:
     """Edges of the augmented graph entering subset ``a`` from outside."""
     check_subset(net, a)

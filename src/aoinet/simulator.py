@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     EmptySubset,
     EmptyWindow,
     IntegralOverflow,
+    IntegralUnderflow,
     InvalidInitialAge,
     ThresholdNotRequested,
     TooFewEvents,
@@ -91,7 +93,10 @@ def _integrate(
     ``t_end``) with age ``t - births[i]``.  Returns the integral of the age,
     of its square, the time at or above each threshold, and the
     ``N_BATCHES`` batch means.  Raises :class:`IntegralOverflow` when any
-    of them is not finite, as with ages near the float range.
+    of them is not finite, as with ages near the float range, and
+    :class:`IntegralUnderflow` when the integral of the squared age, a sum
+    of cubes, is below the smallest normal float, as with ages near 1e-110
+    or less.
     """
     ends = np.append(starts[1:], t_end)
     s = np.maximum(starts, t0)
@@ -118,6 +123,8 @@ def _integrate(
             batch_means[j] = np.sum(x2 * x2 - x1 * x1) / 2.0 / width
     if not np.isfinite([integral, integral_sq, *occupancy, *batch_means]).all():
         raise IntegralOverflow("the age integrals over the kept window are not finite")
+    if integral_sq < sys.float_info.min:
+        raise IntegralUnderflow("the age integrals over the kept window underflow")
     return integral, integral_sq, occupancy, batch_means
 
 

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aoinet as a
 from aoinet.cli import main
-from conftest import net_json
+from conftest import net_json, random_ssn
 
 
 @pytest.fixture
@@ -436,6 +437,59 @@ def test_overflowing_integrals_refused(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--samples", "1000"],
+        ["simulate", "--events", "1000"],
+        ["compare", "--node", "d", "--samples", "1000", "--events", "1000"],
+        ["compare", "--node", "{v,d}", "--samples", "1000", "--events", "1000"],
+    ],
+)
+def test_underflowing_ages_refused(capsys, tmp_path, argv):
+    # every age is near 1e-300, so its square underflows to 0
+    path = tmp_path / "net.json"
+    path.write_text(_doc(1e300, [1e300] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, argv[0], "--net", str(path), *argv[1:], "--seed", "1"
+        )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "underflow" in err
+
+
+def test_one_target_commands_match_the_full_batch(capsys, tmp_path):
+    # compare and cdf --method sample draw only the target's ancestor edges;
+    # their rows equal the ones computed from every node's sampled ages
+    net = random_ssn(8, 2024)
+    path = tmp_path / "r8.json"
+    edges = [(e.frm, e.to, e.rate) for e in net.base.edges]
+    path.write_text(net_json(net.lam, "v0", edges))
+    n = 70_000
+    batch = a.sample_ages(net, n, a.RngPolicy(5))
+    grid = np.arange(0.0, 4.25, 0.5)
+    for target in [f"v{i}" for i in range(8)] + ["{v6,v7}"]:
+        mask = net.subset_mask(target.strip("{}").split(","))
+        common = ["--net", str(path), "--node", target, "--samples", str(n)]
+        code, out, _ = run_cli(
+            capsys, "compare", *common, "--events", "1000", "--seed", "5"
+        )
+        assert code == 0
+        (row,) = [r for r in rows_of(out) if r["method"] == "sample"]
+        want = a.estimate(batch, mask, a.Functional.mean())
+        assert (row["value"], row["stderr"]) == want
+        code, out, _ = run_cli(
+            capsys, "cdf", *common, "--d-grid", "0:4:0.5", "--method", "sample",
+            "--seed", "5",
+        )
+        assert code == 0
+        assert [r["value"] for r in rows_of(out)] == [
+            a.empirical_cdf(batch, mask, d) for d in grid
+        ]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import aoinet as a
 from aoinet import errors
-from aoinet.network import VIRTUAL_SOURCE_LABEL, bfs_order
+from aoinet.network import VIRTUAL_SOURCE_LABEL, ancestor_network, bfs_order
 from conftest import build_net, net_json, random_ssn, serial, triangle, two_node
 
 
@@ -211,3 +211,56 @@ def test_bfs_order_from_virtual_node():
     for n_nodes, seed in [(8, 2024), (20, 7)]:
         net = random_ssn(n_nodes, seed)
         assert sorted(bfs_order(net)) == list(range(net.n_aug))
+
+
+def edge_rates_by_key(net):
+    return {net.edge_key(e): net.edge_rates[e] for e in range(len(net.edge_rates))}
+
+
+def test_ancestor_network_of_the_source_is_the_virtual_edge(tri):
+    sub = ancestor_network(tri, tri.subset_mask(["s"]))
+    assert sub.node_names == ("s",)
+    assert [sub.edge_key(e) for e in range(len(sub.edge_rates))] == [
+        (VIRTUAL_SOURCE_LABEL, "s")
+    ]
+    assert sub.edge_rates == (tri.lam,)
+
+
+def test_ancestor_network_drops_side_branches():
+    # b hangs off the source; c feeds t only through b, d only follows t
+    net = build_net(
+        2.0,
+        "s",
+        [("s", "a", 1), ("s", "b", 2), ("a", "t", 3), ("b", "c", 4), ("t", "d", 5)],
+    )
+    sub = ancestor_network(net, net.subset_mask(["t"]))
+    assert sub.node_names == ("s", "a", "t")
+    assert edge_rates_by_key(sub) == {
+        ("s", "a"): 1.0,
+        ("a", "t"): 3.0,
+        (VIRTUAL_SOURCE_LABEL, "s"): 2.0,
+    }
+    assert a.average_age(sub, sub.subset_mask(["t"])) == a.average_age(
+        net, net.subset_mask(["t"])
+    )
+    pair = ancestor_network(net, net.subset_mask(["c", "t"]))
+    assert pair.node_names == ("s", "a", "b", "t", "c")
+
+
+def test_ancestor_networks_of_r8_keep_edge_streams():
+    net = random_ssn(8, 2024)
+    full = edge_rates_by_key(net)
+    sizes = []
+    for mask in [1 << v for v in range(net.n_user)] + [net.subset_mask(["v6", "v7"])]:
+        keys = edge_rates_by_key(ancestor_network(net, mask))
+        assert keys.items() <= full.items()
+        sizes.append(len(keys))
+    # 16 edges in all, the virtual edge included
+    assert sizes == [1, 16, 5, 5, 8, 10, 2, 16, 16]
+
+
+def test_ancestor_network_rejects_bad_subsets(tri):
+    with pytest.raises(errors.EmptySubset):
+        ancestor_network(tri, 0)
+    with pytest.raises(errors.SubsetContainsVirtualSource):
+        ancestor_network(tri, 1 << tri.theta_prime_index)

@@ -269,14 +269,37 @@ def test_batch_prefix_is_shorter_batch(two):
     assert np.array_equal(batch.ages[:k], a.sample_ages(two, k, rng).ages)
 
 
-def test_fold_matches_batch_estimate(tri):
+def test_subset_sample_matches_batch_estimate(tri):
     d = tri.subset_mask(["d"])
     n = 100_000
     rng = a.RngPolicy(16)
     batch_est = a.estimate(a.sample_ages(tri, n, rng), d, a.Functional.mean())
-    fold_est = a.fold_estimate(tri, n, rng, d, a.Functional.mean())
-    assert batch_est[0] == pytest.approx(fold_est[0], rel=1e-12)
-    assert batch_est[1] == pytest.approx(fold_est[1], rel=1e-9)
+    ages = a.sample_subset_ages(tri, d, n, rng)
+    assert a.estimate(ages, d, a.Functional.mean()) == batch_est
+
+
+@pytest.mark.parametrize(
+    "target", [[f"v{i}"] for i in range(8)] + [["v6", "v7"]], ids=str
+)
+def test_pruned_sample_is_the_batch_column(target):
+    # drawing only the ancestors' edges leaves every replicate bit-identical
+    net = random_ssn(8, 2024)
+    mask = net.subset_mask(target)
+    n = CHUNK + 3
+    rng = a.RngPolicy(26)
+    batch = a.sample_ages(net, n, rng)
+    ages = a.sample_subset_ages(net, mask, n, rng)
+    for f in (a.Functional.mean(), a.Functional.moment(2)):
+        assert a.estimate(ages, mask, f) == a.estimate(batch, mask, f)
+    for d in (0.25, 1.0, 2.5, 4.0):
+        assert a.empirical_cdf(ages, mask, d) == a.empirical_cdf(batch, mask, d)
+
+
+def test_subset_sample_refuses_bad_input(tri):
+    with pytest.raises(errors.EmptySubset):
+        a.sample_subset_ages(tri, 0, 10, a.RngPolicy(1))
+    with pytest.raises(ValueError):
+        a.sample_subset_ages(tri, tri.subset_mask(["d"]), 0, a.RngPolicy(1))
 
 
 def test_overflowing_moments_raise():
@@ -290,11 +313,39 @@ def test_overflowing_moments_raise():
         with pytest.raises(errors.IntegralOverflow):
             a.estimate(batch, d, a.Functional.mean())
         with pytest.raises(errors.IntegralOverflow):
-            a.fold_estimate(net, 1000, rng, d, a.Functional.mean())
+            a.estimate(
+                a.sample_subset_ages(net, d, 1000, rng), d, a.Functional.mean()
+            )
         est, stderr = a.estimate(
             a.sample_ages(net, 1, rng), d, a.Functional.mean()
         )
     assert math.isfinite(est) and stderr == math.inf
+
+
+def test_underflowing_variance_raises():
+    # ages near 1e-300: the mean fits a float, the variance underflows to 0
+    net = triangle(1e300, 1e300, 1e300, 1e300)
+    d = net.subset_mask(["d"])
+    rng = a.RngPolicy(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.IntegralUnderflow):
+            a.estimate(a.sample_ages(net, 1000, rng), d, a.Functional.mean())
+        with pytest.raises(errors.IntegralUnderflow):
+            a.estimate(
+                a.sample_subset_ages(net, d, 1000, rng), d, a.Functional.mean()
+            )
+        # a zero variance of equal values is exact, not an underflow
+        est, stderr = a.estimate(
+            a.sample_ages(net, 1000, rng), d, a.Functional.indicator_ge(0.0)
+        )
+    assert (est, stderr) == (1.0, 0.0)
+    est, stderr = a.estimate(
+        a.sample_ages(triangle(1e100, 1e100, 1e100, 1e100), 1000, rng),
+        d,
+        a.Functional.mean(),
+    )
+    assert est == pytest.approx(1.75e-100, rel=0.1) and stderr > 0.0
 
 
 def test_functional_validation():

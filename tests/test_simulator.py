@@ -339,3 +339,16 @@ def test_overflowing_integrals_raise(rate):
     res = run(triangle(1e-90, 1e-90, 1e-90, 1e-90), 1000, 3)
     assert math.isfinite(a.time_average_stderr(res, "d"))
     assert a.time_average(res, "d") == pytest.approx(1.75e90, rel=0.5)
+
+
+@pytest.mark.parametrize("rate", [1e300, 1e110])
+def test_underflowing_integrals_raise(rate):
+    # ages near 1/rate: at 1e110 their square is a normal float, their cube not
+    net = triangle(rate, rate, rate, rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.IntegralUnderflow):
+            run(net, 1000, 3)
+    res = run(triangle(1e90, 1e90, 1e90, 1e90), 1000, 3)
+    assert a.time_average_stderr(res, "d") > 0.0
+    assert a.time_average(res, "d") == pytest.approx(1.75e-90, rel=0.5)
