@@ -41,7 +41,7 @@ from .sampler import (
     empirical_cdf,
     estimate,
     sample_ages,
-    sample_subset_ages,
+    sample_subset,
 )
 from .simulator import (
     SimConfig,
@@ -83,7 +83,7 @@ __all__ = [
     "mgf_convergence_bound",
     "parse_network",
     "sample_ages",
-    "sample_subset_ages",
+    "sample_subset",
     "serial_cascade_age",
     "simulate",
     "subset_time_average",

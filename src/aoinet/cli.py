@@ -177,13 +177,14 @@ def cmd_cdf(args):
     if args.samples is None:
         raise AoiError("--method sample requires --samples")
     seed = _seed_of(args)
-    n = args.samples
-    ages = sampler_mod.sample_subset_ages(net, mask, n, sampler_mod.RngPolicy(seed))
+    batch, sub_mask = sampler_mod.sample_subset(
+        net, mask, args.samples, sampler_mod.RngPolicy(seed)
+    )
     rows = []
     for d in grid:
-        value = sampler_mod.empirical_cdf(ages, mask, d)
-        stderr = (value * (1.0 - value) / n) ** 0.5
-        rows.append(_row(name, "cdf-sample", value, stderr, d=d, n=n, seed=seed))
+        value = sampler_mod.empirical_cdf(batch, sub_mask, d)
+        stderr = (value * (1.0 - value) / batch.n) ** 0.5
+        rows.append(_row(name, "cdf-sample", value, stderr, d=d, n=batch.n, seed=seed))
     return rows
 
 
@@ -256,6 +257,22 @@ def cmd_cascade(args):
     return _all_means(_load_network(args.net), "cascade")
 
 
+def _simulated_mean(net, mask: int, events: int, seed: int) -> tuple[float, float]:
+    """Time-averaged age of subset ``mask`` and its stderr from one run.
+
+    The run's change logs are freed on return, before ``compare`` samples.
+    """
+    cfg = sim_mod.SimConfig(total_events=events, master_seed=seed)
+    res = sim_mod.simulate(net, cfg)
+    labels = net.subset_labels(mask)
+    if len(labels) == 1:
+        return (
+            sim_mod.time_average(res, labels[0]),
+            sim_mod.time_average_stderr(res, labels[0]),
+        )
+    return sim_mod.subset_time_average(res, mask)
+
+
 def cmd_compare(args):
     net = _load_network(args.net)
     mask = _parse_subset_expr(net, args.node)
@@ -264,19 +281,13 @@ def cmd_compare(args):
 
     exact_val = exact_mod.average_age(net, mask)
     # the simulator first: it refuses overflowing ages before the sampler squares them
-    cfg = sim_mod.SimConfig(total_events=args.events, master_seed=seed)
-    res = sim_mod.simulate(net, cfg)
-    labels = net.subset_labels(mask)
-    if len(labels) == 1:
-        sim_val = sim_mod.time_average(res, labels[0])
-        sim_se = sim_mod.time_average_stderr(res, labels[0])
-    else:
-        sim_val, sim_se = sim_mod.subset_time_average(res, mask)
-
-    ages = sampler_mod.sample_subset_ages(
+    sim_val, sim_se = _simulated_mean(net, mask, args.events, seed)
+    batch, sub_mask = sampler_mod.sample_subset(
         net, mask, args.samples, sampler_mod.RngPolicy(seed)
     )
-    samp, samp_se = sampler_mod.estimate(ages, mask, sampler_mod.Functional.mean())
+    samp, samp_se = sampler_mod.estimate(
+        batch, sub_mask, sampler_mod.Functional.mean()
+    )
 
     gate_sampler = abs(samp - exact_val) <= 4.0 * samp_se
     gate_sim = abs(sim_val - exact_val) <= 4.0 * sim_se

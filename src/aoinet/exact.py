@@ -31,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AoiError, NetworkTooLarge, OutsideConvergenceRegion, TooStiff
-from .network import AugmentedNetwork, bfs_order, check_subset
+from .network import (
+    AugmentedNetwork,
+    bfs_order,
+    check_subset,
+    in_edges,
+    reaching,
+)
 
 DEFAULT_MAX_EXACT_NODES = 20
 HARD_MAX_EXACT_NODES = 28
@@ -199,7 +205,7 @@ def _idoms(net: AugmentedNetwork) -> tuple[list[int], list[int]]:
     rank = [0] * net.n_aug
     for i, v in enumerate(order):
         rank[v] = i
-    into = _in_edges(net)
+    into = in_edges(net)
     idom = [-1] * net.n_aug
     idom[order[0]] = order[0]
     changed = True
@@ -226,14 +232,6 @@ def _meet(idom: list[int], rank: list[int], x: int, y: int) -> int:
     return x
 
 
-def _in_edges(net: AugmentedNetwork) -> list[list[int]]:
-    """Indices of each augmented node's incoming edges, in edge order."""
-    into: list[list[int]] = [[] for _ in range(net.n_aug)]
-    for e, v in enumerate(net.edge_heads):
-        into[v].append(e)
-    return into
-
-
 def _region_walk(net: AugmentedNetwork, into, nodes: list[int], d: int):
     """The node count (``d`` included) and the mean walk from ``nodes``.
 
@@ -241,14 +239,7 @@ def _region_walk(net: AugmentedNetwork, into, nodes: list[int], d: int):
     nodes that reach ``nodes`` without passing ``d``: never the source, so
     never the virtual edge.  The base is 0, or 1/lambda at the source.
     """
-    stack = list(nodes)
-    seen = set(stack)
-    while stack:
-        for e in into[stack.pop()]:
-            u = net.edge_tails[e]
-            if u != d and u not in seen:
-                seen.add(u)
-                stack.append(u)
+    seen = reaching(net, into, nodes, stop=d)
     edges = [
         (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
         for e in sorted(e for v in seen for e in into[v])
@@ -283,7 +274,7 @@ def average_age(
     d = idom[nodes[0]]
     for v in nodes[1:]:
         d = _meet(idom, rank, d, idom[v])
-    into = _in_edges(net)
+    into = in_edges(net)
     walks = [(a, *_region_walk(net, into, nodes, d))]  # from a up to the source
     while d != src:
         walks.append((1 << d, *_region_walk(net, into, [d], idom[d])))
@@ -308,7 +299,7 @@ class _Split:
         children: dict[int, list[int]] = {}
         for v in self.order[1:]:
             children.setdefault(self.idom[v], []).append(v)
-        into = _in_edges(net)
+        into = in_edges(net)
         self.walks = {d: _region_walk(net, into, vs, d) for d, vs in children.items()}
         self.largest = max((size for size, _ in self.walks.values()), default=1)
         self.mean = [0.0] * net.n_user  # the source's 1/lambda is the base of its walk

@@ -352,6 +352,32 @@ def check_subset(net: AugmentedNetwork, a: int) -> None:
         raise KeyError(f"subset mask {a:#x} has bits beyond the node range")
 
 
+def in_edges(net: AugmentedNetwork) -> list[list[int]]:
+    """Indices of each augmented node's incoming edges, in edge order."""
+    into: list[list[int]] = [[] for _ in range(net.n_aug)]
+    for e, v in enumerate(net.edge_heads):
+        into[v].append(e)
+    return into
+
+
+def reaching(
+    net: AugmentedNetwork, into: list[list[int]], nodes, stop: int = -1
+) -> set[int]:
+    """The nodes that reach ``nodes`` (included) without passing ``stop``.
+
+    ``into`` is :func:`in_edges` of ``net``.
+    """
+    stack = list(nodes)
+    seen = set(stack)
+    while stack:
+        for e in into[stack.pop()]:
+            u = net.edge_tails[e]
+            if u != stop and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
 def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
     """The network induced by the user nodes that reach subset ``a``.
 
@@ -359,19 +385,12 @@ def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
     law is unchanged.  Labels, rates, lambda and the virtual edge are kept,
     so every edge keeps its ``edge_key``; node indices are renumbered.  Every
     kept node is reachable from the source through kept nodes, so the
-    result is a valid network.
+    result is a valid network.  Parallel edges merge as in ``net``, without
+    a second warning.
     """
     check_subset(net, a)
-    tails_into: list[list[int]] = [[] for _ in range(net.n_user)]
-    for u, v in zip(net.edge_tails[:-1], net.edge_heads[:-1]):
-        tails_into[v].append(u)
     kept = [v for v in range(net.n_user) if a >> v & 1]
-    seen = set(kept)
-    for v in kept:  # the list grows while it is walked
-        for u in tails_into[v]:
-            if u not in seen:
-                seen.add(u)
-                kept.append(u)
+    seen = reaching(net, in_edges(net), kept, stop=net.theta_prime_index)
     names = {net.node_names[v] for v in seen}
     spec = net.base
     return validate_ssn(
@@ -380,7 +399,8 @@ def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
             tuple(e for e in spec.edges if e.to in names),
             spec.source,
             spec.lam,
-        )
+        ),
+        merge_warning=False,
     )
 
 

@@ -4,17 +4,17 @@ Each replicate draws one exponential service time per augmented edge and
 computes single-source shortest-path distances from the virtual source; the
 distance to a node is one sample of that node's stationary age, and the
 minimum over a subset samples the subset age.  A one-subset query
-(:func:`sample_subset_ages`) draws only the edges into the subset's
-ancestors, since no other edge lies on a path into it, and keeps one age
-per replicate instead of the n x |V| matrix of :func:`sample_ages`.
+(:func:`sample_subset`) samples only the nodes that reach the subset, and
+so draws only the edges into them, since no other edge lies on a path
+into it.
 
 Random streams are counter-based: the variate for (master_seed, replicate i,
 edge e) is the i-th draw of a Philox stream keyed by the master seed and a
 stable hash of the edge's endpoint labels.  This makes batches bit-identical
 regardless of worker count or iteration order, makes edge-addition
 experiments couple replicate-by-replicate (old edges keep their streams),
-and makes a one-subset query bit-identical to the same subset's column of
-a full batch: distances do not depend on which other edges are relaxed.
+and makes a one-subset query bit-identical to the same subset's minimum
+over a full batch: distances do not depend on which other edges are relaxed.
 
 Limitation: the sampled tuples reproduce only the marginal law of each fixed
 subset's age.  The true joint process has atoms where two connected nodes
@@ -234,29 +234,22 @@ def sample_ages(
     return SampleBatch(ages=ages, n=n, rng=rng, network_hash=net.fingerprint)
 
 
-def sample_subset_ages(
+def sample_subset(
     net: AugmentedNetwork, a: int, n: int, rng: RngPolicy
-) -> np.ndarray:
-    """Draw ``n`` replicates of subset ``a``'s age, as a length-``n`` vector.
+) -> tuple[SampleBatch, int]:
+    """Draw ``n`` replicates over the nodes that reach subset ``a`` only.
 
-    Samples only :func:`~aoinet.network.ancestor_network` of ``a``, whose
-    edges keep their streams, so the result equals the subset minimum over
-    :func:`sample_ages`'s columns bit for bit, with fewer draws and one
-    age per replicate in memory.
+    Returns the :func:`sample_ages` batch of
+    :func:`~aoinet.network.ancestor_network` of ``a``, and ``a``'s mask in
+    it.  Its edges keep their streams, so :func:`estimate` and
+    :func:`empirical_cdf` of that mask equal those of ``a`` over
+    :func:`sample_ages` of ``net`` bit for bit, with fewer draws.
     """
-    if n < 1:
-        raise ValueError("replicate count must be >= 1")
     sub = ancestor_network(net, a)
-    cols = [sub.index_of[name] for name in net.subset_labels(a)]
-    ages = np.empty(n)
-    for start, dist in _chunks(sub, rng, n):
-        ages[start : start + dist.shape[1]] = dist[cols].min(axis=0)
-    return ages
+    return sample_ages(sub, n, rng), sub.subset_mask(net.subset_labels(a))
 
 
-def _subset_ages(batch: SampleBatch | np.ndarray, a: int) -> np.ndarray:
-    if isinstance(batch, np.ndarray):
-        return batch
+def _subset_ages(batch: SampleBatch, a: int) -> np.ndarray:
     if a == 0:
         raise EmptySubset("subset must be non-empty")
     if a >> batch.ages.shape[1]:
@@ -273,27 +266,24 @@ def _check_finite(*moments: float) -> None:
 
 
 def estimate(
-    batch: SampleBatch | np.ndarray, a: int, f: Functional
+    batch: SampleBatch, a: int, f: Functional
 ) -> tuple[float, float]:
     """Sample mean and standard error of ``f`` applied to the subset age.
 
-    ``batch`` is a :class:`SampleBatch`, or the ages that
-    :func:`sample_subset_ages` drew for ``a``.  Raises
-    :class:`IntegralOverflow` if the mean or variance is not finite, and
+    Raises :class:`IntegralOverflow` if the mean or variance is not finite, and
     :class:`IntegralUnderflow` if unequal values have a variance below the
     smallest normal float, where it has lost its digits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         vals = f.apply(_subset_ages(batch, a))
-        n = len(vals)
         est = float(vals.mean())
-        var = float(vals.var(ddof=1)) if n > 1 else 0.0
+        var = float(vals.var(ddof=1)) if batch.n > 1 else 0.0
     _check_finite(est, var)
     if var < sys.float_info.min and vals.min() < vals.max():
         raise IntegralUnderflow("the variance of the sampled ages underflows")
-    return est, math.sqrt(var) / math.sqrt(n) if n > 1 else math.inf
+    return est, math.sqrt(var) / math.sqrt(batch.n) if batch.n > 1 else math.inf
 
 
-def empirical_cdf(batch: SampleBatch | np.ndarray, a: int, d: float) -> float:
-    """Fraction of replicates with subset age <= d; ``batch`` as in :func:`estimate`."""
+def empirical_cdf(batch: SampleBatch, a: int, d: float) -> float:
+    """Fraction of replicates with subset age <= d."""
     return float((_subset_ages(batch, a) <= d).mean())

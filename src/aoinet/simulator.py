@@ -94,9 +94,8 @@ def _integrate(
     of its square, the time at or above each threshold, and the
     ``N_BATCHES`` batch means.  Raises :class:`IntegralOverflow` when any
     of them is not finite, as with ages near the float range, and
-    :class:`IntegralUnderflow` when the integral of the squared age, a sum
-    of cubes, is below the smallest normal float, as with ages near 1e-110
-    or less.
+    :class:`IntegralUnderflow` when the age integral over a nonempty window
+    is below the smallest normal float.
     """
     ends = np.append(starts[1:], t_end)
     s = np.maximum(starts, t0)
@@ -123,8 +122,8 @@ def _integrate(
             batch_means[j] = np.sum(x2 * x2 - x1 * x1) / 2.0 / width
     if not np.isfinite([integral, integral_sq, *occupancy, *batch_means]).all():
         raise IntegralOverflow("the age integrals over the kept window are not finite")
-    if integral_sq < sys.float_info.min:
-        raise IntegralUnderflow("the age integrals over the kept window underflow")
+    if t_end > t0 and integral < sys.float_info.min:
+        raise IntegralUnderflow("the age integral over the kept window underflows")
     return integral, integral_sq, occupancy, batch_means
 
 
@@ -339,14 +338,23 @@ def _check_batches(res: SimResult) -> None:
 
 
 def _batch_stderr(batch_means: np.ndarray) -> float:
-    return float(batch_means.std(ddof=1) / math.sqrt(N_BATCHES))
+    """Standard error of the mean of ``N_BATCHES`` batch means.
+
+    Raises :class:`IntegralUnderflow` if unequal batch means have a
+    variance below the smallest normal float, where it has lost its digits.
+    """
+    var = float(batch_means.var(ddof=1))
+    if var < sys.float_info.min and batch_means.min() < batch_means.max():
+        raise IntegralUnderflow("the variance of the batch means underflows")
+    return math.sqrt(var) / math.sqrt(N_BATCHES)
 
 
 def time_average_stderr(res: SimResult, v) -> float:
     """Batch-means standard error of the time-averaged age.
 
     Raises :class:`TooFewEvents` when the kept window holds fewer events
-    than there are batches.
+    than there are batches, and :class:`IntegralUnderflow` when the batch
+    means' variance underflows.
     """
     _check_batches(res)
     return _batch_stderr(res.batch_means[:, res.node_index(v)])

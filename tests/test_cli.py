@@ -462,6 +462,28 @@ def test_underflowing_ages_refused(capsys, tmp_path, argv):
     assert err.startswith("error:") and "underflow" in err
 
 
+@pytest.mark.parametrize("target", ["d", "{v,d}"])
+def test_tiny_ages_still_compared(capsys, tmp_path, target):
+    # every age is near 1e-120: the cube of the age underflows, but neither
+    # the means nor their standard errors do, so both gates are computed
+    path = tmp_path / "net.json"
+    path.write_text(_doc(1e120, [1e120] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "compare", "--net", str(path), "--node", target,
+            "--samples", "1000", "--events", "1000", "--seed", "1",
+        )
+    assert code == 0, err
+    rows = {r["method"]: r for r in map(json.loads, out.splitlines())}
+    assert rows["verdict"]["value"] == 1.0
+    for method in ("sample", "simulate"):
+        assert rows[method]["stderr"] > 0.0
+        assert rows[method]["value"] == pytest.approx(
+            rows["exact"]["value"], rel=0.2
+        )
+
+
 def test_one_target_commands_match_the_full_batch(capsys, tmp_path):
     # compare and cdf --method sample draw only the target's ancestor edges;
     # their rows equal the ones computed from every node's sampled ages

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -227,7 +228,7 @@ def test_ancestor_network_of_the_source_is_the_virtual_edge(tri):
 
 
 def test_ancestor_network_drops_side_branches():
-    # b hangs off the source; c feeds t only through b, d only follows t
+    # b and c sit on a side branch from the source; d only follows t
     net = build_net(
         2.0,
         "s",
@@ -257,6 +258,15 @@ def test_ancestor_networks_of_r8_keep_edge_streams():
         sizes.append(len(keys))
     # 16 edges in all, the virtual edge included
     assert sizes == [1, 16, 5, 5, 8, 10, 2, 16, 16]
+
+
+def test_ancestor_network_merges_parallel_edges_silently():
+    with pytest.warns(UserWarning, match="parallel edges"):
+        net = build_net(1.0, "s", [("s", "d", 1), ("s", "d", 2), ("s", "e", 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the caller's network already warned
+        sub = ancestor_network(net, net.subset_mask(["d"]))
+    assert edge_rates_by_key(sub) == {(VIRTUAL_SOURCE_LABEL, "s"): 1.0, ("s", "d"): 3.0}
 
 
 def test_ancestor_network_rejects_bad_subsets(tri):

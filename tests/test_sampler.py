@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import aoinet as a
 from aoinet import errors
-from aoinet.network import VIRTUAL_SOURCE_LABEL, bfs_order
+from aoinet.network import VIRTUAL_SOURCE_LABEL, ancestor_network, bfs_order
 from aoinet.sampler import CHUNK, _relax_distances
 from conftest import build_net, random_ssn, triangle, two_node
 
@@ -274,8 +274,8 @@ def test_subset_sample_matches_batch_estimate(tri):
     n = 100_000
     rng = a.RngPolicy(16)
     batch_est = a.estimate(a.sample_ages(tri, n, rng), d, a.Functional.mean())
-    ages = a.sample_subset_ages(tri, d, n, rng)
-    assert a.estimate(ages, d, a.Functional.mean()) == batch_est
+    sub, sub_d = a.sample_subset(tri, d, n, rng)
+    assert a.estimate(sub, sub_d, a.Functional.mean()) == batch_est
 
 
 @pytest.mark.parametrize(
@@ -288,18 +288,21 @@ def test_pruned_sample_is_the_batch_column(target):
     n = CHUNK + 3
     rng = a.RngPolicy(26)
     batch = a.sample_ages(net, n, rng)
-    ages = a.sample_subset_ages(net, mask, n, rng)
+    sub, sub_mask = a.sample_subset(net, mask, n, rng)
+    assert sub.n == n
+    assert sub.ages.shape[1] == ancestor_network(net, mask).n_user
     for f in (a.Functional.mean(), a.Functional.moment(2)):
-        assert a.estimate(ages, mask, f) == a.estimate(batch, mask, f)
+        assert a.estimate(sub, sub_mask, f) == a.estimate(batch, mask, f)
     for d in (0.25, 1.0, 2.5, 4.0):
-        assert a.empirical_cdf(ages, mask, d) == a.empirical_cdf(batch, mask, d)
+        pruned = a.empirical_cdf(sub, sub_mask, d)
+        assert pruned == a.empirical_cdf(batch, mask, d)
 
 
 def test_subset_sample_refuses_bad_input(tri):
     with pytest.raises(errors.EmptySubset):
-        a.sample_subset_ages(tri, 0, 10, a.RngPolicy(1))
+        a.sample_subset(tri, 0, 10, a.RngPolicy(1))
     with pytest.raises(ValueError):
-        a.sample_subset_ages(tri, tri.subset_mask(["d"]), 0, a.RngPolicy(1))
+        a.sample_subset(tri, tri.subset_mask(["d"]), 0, a.RngPolicy(1))
 
 
 def test_overflowing_moments_raise():
@@ -313,9 +316,7 @@ def test_overflowing_moments_raise():
         with pytest.raises(errors.IntegralOverflow):
             a.estimate(batch, d, a.Functional.mean())
         with pytest.raises(errors.IntegralOverflow):
-            a.estimate(
-                a.sample_subset_ages(net, d, 1000, rng), d, a.Functional.mean()
-            )
+            a.estimate(*a.sample_subset(net, d, 1000, rng), a.Functional.mean())
         est, stderr = a.estimate(
             a.sample_ages(net, 1, rng), d, a.Functional.mean()
         )
@@ -332,9 +333,7 @@ def test_underflowing_variance_raises():
         with pytest.raises(errors.IntegralUnderflow):
             a.estimate(a.sample_ages(net, 1000, rng), d, a.Functional.mean())
         with pytest.raises(errors.IntegralUnderflow):
-            a.estimate(
-                a.sample_subset_ages(net, d, 1000, rng), d, a.Functional.mean()
-            )
+            a.estimate(*a.sample_subset(net, d, 1000, rng), a.Functional.mean())
         # a zero variance of equal values is exact, not an underflow
         est, stderr = a.estimate(
             a.sample_ages(net, 1000, rng), d, a.Functional.indicator_ge(0.0)

@@ -341,14 +341,24 @@ def test_overflowing_integrals_raise(rate):
     assert a.time_average(res, "d") == pytest.approx(1.75e90, rel=0.5)
 
 
-@pytest.mark.parametrize("rate", [1e300, 1e110])
-def test_underflowing_integrals_raise(rate):
-    # ages near 1/rate: at 1e110 their square is a normal float, their cube not
-    net = triangle(rate, rate, rate, rate)
+def test_underflowing_integrals_raise():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # ages near 1e-300: the age integral underflows to 0
         with pytest.raises(errors.IntegralUnderflow):
-            run(net, 1000, 3)
-    res = run(triangle(1e90, 1e90, 1e90, 1e90), 1000, 3)
-    assert a.time_average_stderr(res, "d") > 0.0
-    assert a.time_average(res, "d") == pytest.approx(1.75e-90, rel=0.5)
+            run(triangle(1e300, 1e300, 1e300, 1e300), 1000, 3)
+        # ages near 1e-154: the integral is a normal float, the variance of
+        # the batch means is not
+        net = triangle(1e154, 1e154, 1e154, 1e154)
+        res = run(net, 1000, 3)
+        assert a.time_average(res, "d") == pytest.approx(1.75e-154, rel=0.5)
+        with pytest.raises(errors.IntegralUnderflow):
+            a.time_average_stderr(res, "d")
+        with pytest.raises(errors.IntegralUnderflow):
+            a.subset_time_average(res, net.subset_mask(["v", "d"]))
+        # ages near 1e-110: only the unused integral of the squared age
+        # underflows, so mean and stderr are computed
+        for rate in (1e110, 1e90):
+            res = run(triangle(rate, rate, rate, rate), 1000, 3)
+            assert a.time_average_stderr(res, "d") > 0.0
+            assert a.time_average(res, "d") == pytest.approx(1.75 / rate, rel=0.5)
