@@ -74,6 +74,8 @@ def _arg_type(convert, ok, want: str):
 
 
 _COUNT = _arg_type(int, lambda x: x >= 1, "an integer >= 1")
+# a mean's stderr needs two samples; one gives an infinite stderr
+_SAMPLES = _arg_type(int, lambda x: x >= 2, "an integer >= 2")
 _SEED = _arg_type(int, lambda x: 0 <= x < 1 << 64, "an integer in [0, 2**64)")
 _FRACTION = _arg_type(float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
 _REAL = _arg_type(float, math.isfinite, "a finite number")
@@ -260,17 +262,15 @@ def cmd_cascade(args):
 def _simulated_mean(net, mask: int, events: int, seed: int) -> tuple[float, float]:
     """Time-averaged age of subset ``mask`` and its stderr from one run.
 
-    The run's change logs are freed on return, before ``compare`` samples.
+    The run solves only the nodes that reach the subset, and its result
+    lists only the subset's nodes.  Its change logs are freed on return,
+    before ``compare`` samples.
     """
     cfg = sim_mod.SimConfig(total_events=events, master_seed=seed)
-    res = sim_mod.simulate(net, cfg)
-    labels = net.subset_labels(mask)
-    if len(labels) == 1:
-        return (
-            sim_mod.time_average(res, labels[0]),
-            sim_mod.time_average_stderr(res, labels[0]),
-        )
-    return sim_mod.subset_time_average(res, mask)
+    res = sim_mod.simulate(net, cfg, target=mask)
+    if len(res.node_names) == 1:
+        return sim_mod.time_average(res, 0), sim_mod.time_average_stderr(res, 0)
+    return sim_mod.subset_time_average(res, (1 << len(res.node_names)) - 1)
 
 
 def cmd_compare(args):
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_THRESHOLD, required=True)
 
     p = add("sample", cmd_sample, help="Monte Carlo shortest-path sampling")
-    p.add_argument("--samples", type=_COUNT, required=True)
+    p.add_argument("--samples", type=_SAMPLES, required=True)
     p.add_argument("--seed", type=_SEED)
     p.add_argument("--workers", type=_COUNT, default=1)
     p.add_argument("--dump-csv", metavar="FILE")
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("compare", cmd_compare, help="cross-method agreement check")
     p.add_argument("--node", required=True)
-    p.add_argument("--samples", type=_COUNT, required=True)
+    p.add_argument("--samples", type=_SAMPLES, required=True)
     p.add_argument("--events", type=_COUNT, required=True)
     p.add_argument("--seed", type=_SEED)
 

@@ -378,6 +378,16 @@ def reaching(
     return seen
 
 
+def ancestors(net: AugmentedNetwork, a: int) -> set[int]:
+    """The user nodes that reach subset ``a``, its own nodes included.
+
+    Raises as :func:`check_subset` for a bad subset.
+    """
+    check_subset(net, a)
+    kept = [v for v in range(net.n_user) if a >> v & 1]
+    return reaching(net, in_edges(net), kept, stop=net.theta_prime_index)
+
+
 def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
     """The network induced by the user nodes that reach subset ``a``.
 
@@ -388,10 +398,7 @@ def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
     result is a valid network.  Parallel edges merge as in ``net``, without
     a second warning.
     """
-    check_subset(net, a)
-    kept = [v for v in range(net.n_user) if a >> v & 1]
-    seen = reaching(net, in_edges(net), kept, stop=net.theta_prime_index)
-    names = {net.node_names[v] for v in seen}
+    names = {net.node_names[v] for v in ancestors(net, a)}
     spec = net.base
     return validate_ssn(
         NetworkSpec(

@@ -14,7 +14,16 @@ replayed event by event: every node's births are solved at once as a
 monotone fixpoint over its own event stream (``_births``), sweeping the
 nodes in breadth-first order until a sweep changes nothing; at most
 ``n_user`` sweeps change something.  The result is bit-identical to the
-sequential update.  Independent runs with different seeds may execute in
+sequential update.  Edges are picked from an exact bucket table of the
+cumulative rates (``_picks``), with a binary search only in the few buckets
+that a cumulative rate splits.
+
+A run for one target subset (``simulate(..., target=mask)``, as ``compare``
+makes) draws the same event stream, but solves births only for the nodes
+that reach the target: the events into them are the only ones whose values
+can arrive there.  It integrates only the target's own nodes, so its result
+lists just those, and every value it reports is bit-identical to the
+whole-network run's.  Independent runs with different seeds may execute in
 parallel.  Results are immutable.
 """
 
@@ -36,7 +45,7 @@ from .errors import (
     ThresholdNotRequested,
     TooFewEvents,
 )
-from .network import AugmentedNetwork, bfs_order
+from .network import AugmentedNetwork, ancestors, bfs_order
 
 N_BATCHES = 32  # batch-means error bars over the post-burn-in window
 
@@ -57,7 +66,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Exact time integrals of the age trajectories over the kept window."""
+    """Exact time integrals of the age trajectories over the kept window.
+
+    The arrays index ``node_names``: every node of the network, or only the
+    target's nodes when the run had a ``target``.
+    """
 
     node_names: tuple[str, ...]
     window_start: float
@@ -147,67 +160,116 @@ def _start_births(net: AugmentedNetwork, initial_ages) -> np.ndarray:
     return -ages
 
 
-def _births(
-    net: AugmentedNetwork, times: np.ndarray, picks: np.ndarray, start: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Every node's birth after each event it receives, as a monotone fixpoint.
+def _picks(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u, side="right")`` for ``u`` in [0, 1), overwriting ``u``.
 
-    Returns ``(events, births)``: ``events[v]`` holds the sorted indices of
-    the events on edges into ``v``, and ``births[v][k]`` is ``v``'s birth
-    after the first ``k`` of them (``births[v][0] = start[v]``).  A ring of
-    edge (u, v) sets v's birth to the larger of u's and v's; a ring of the
-    virtual edge sets the source's birth to the event time, which is the
-    larger one because start births are <= 0.  So each value is the running
-    maximum of v's start birth and its incoming values, and an incoming
-    value is the tail's birth just before the event.
-
-    All births start at their start value, a lower bound.  Sweeps over the
-    nodes in breadth-first order recompute each node's running maximum from
-    its tails' current values, until a sweep changes nothing.  Each value
-    depends only on earlier events, so the solution is unique and any exact
-    evaluation order gives it bit for bit.  A value travels from a reset
-    along a path that never repeats a node (a revisited node already held
-    it), so after sweep k every value carried by a path of k edges is
-    final: at most ``n_user`` sweeps change something, and one more
-    confirms.
+    ``u`` is scaled in place by K, a power of two with at least 64 buckets
+    per entry of ``cum``, so ``floor(u * K)`` is exactly the bucket
+    [b/K, (b + 1)/K) holding ``u``.  Where no entry of ``cum`` lies inside
+    the bucket, every ``u`` in it has the answer of b/K, read from a table;
+    the rest (at most one bucket per entry, so about 1/64 of the draws) are
+    searched.  The result has the smallest integer type that holds it.
     """
-    n = net.n_user
-    n_events = len(times)
+    k = max(1024, 1 << (64 * len(cum) - 1).bit_length())
+    edges = np.arange(k + 1) / k  # exact: k is a power of two
+    table = np.searchsorted(cum, edges[:-1], side="right")
+    split = len(cum) + 1  # marks a bucket with an entry of cum inside
+    table[np.searchsorted(cum, edges[1:], side="left") > table] = split
+    table = table.astype(np.min_scalar_type(split))
+    np.multiply(u, k, out=u)
+    p = table[u.astype(np.intp)]
+    at = np.flatnonzero(p == split)
+    p[at] = np.searchsorted(cum, u[at] / k, side="right")
+    return p
+
+
+def _births(
+    net: AugmentedNetwork,
+    times: np.ndarray,
+    picks: np.ndarray,
+    start: np.ndarray,
+    nodes: list[int],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each of ``nodes``' births after each event it receives, as a monotone fixpoint.
+
+    ``nodes`` are ascending user-node indices that include every user-node
+    tail of an edge into them (all nodes, or the nodes that reach a
+    target); the events into other nodes carry nothing into them and are
+    dropped.  Returns ``(events, births)``: ``events[k]`` holds the sorted
+    indices of the events on edges into ``nodes[k]``, and ``births[k][j]``
+    is its birth after the first ``j`` of them (``births[k][0] =
+    start[nodes[k]]``).  A ring of edge (u, v) sets v's birth to the larger
+    of u's and v's; a ring of the virtual edge sets the source's birth to
+    the event time, which is the larger one because start births are <= 0.
+    So each value is the running maximum of v's start birth and its
+    incoming values, and an incoming value is the tail's birth just before
+    the event.  The source hears only the virtual edge, so its births are
+    its event times.
+
+    All other births start at their start value, a lower bound.  Sweeps
+    over the nodes in breadth-first order recompute each node's running
+    maximum from its tails' current values, until a sweep changes nothing.
+    Each value depends only on earlier events, so the solution is unique
+    and any exact evaluation order gives it bit for bit.  A value travels
+    from a reset along a path that never repeats a node (a revisited node
+    already held it), so after sweep k every value carried by a path of k
+    edges is final: at most ``len(nodes)`` sweeps change something, and one
+    more confirms.
+    """
+    n = len(nodes)
+    # nodes[k] is k; the virtual node, and as a head any other node, is n
+    slot = [n] * net.n_aug
+    for k, v in enumerate(nodes):
+        slot[v] = k
     key = np.min_scalar_type(n)  # small keys, so numpy radix-sorts them
-    heads = np.asarray(net.edge_heads, dtype=key)[picks]
-    tails = np.asarray(net.edge_tails, dtype=key)[picks]
+    heads = np.array([slot[v] for v in net.edge_heads], dtype=key)[picks]
+    tails = np.array([slot[u] for u in net.edge_tails], dtype=key)[picks]
+    ids = None  # the indices of the kept events, when some are dropped
+    if n < net.n_user:
+        ids = np.flatnonzero(heads < n)
+        heads = heads[ids]
+        tails = tails[ids]
     by_head = np.argsort(heads, kind="stable")
     counts = np.bincount(heads, minlength=n)
     first = np.concatenate(([0], np.cumsum(counts))).tolist()
     events = [by_head[first[v] : first[v + 1]] for v in range(n)]
 
-    # One flat state: the event times, then each node's births, node v's
-    # from base[v] on.  src[i] is where the value carried by event i sits:
-    # its own time for the virtual edge, else the slot of the tail's birth
-    # just before the event.
-    base = [n_events + first[v] + v for v in range(n)]
-    state = np.concatenate((times, np.repeat(start, counts + 1)))
+    # One flat state of every node's births, node v's from base[v] on.
+    base = [first[v] + v for v in range(n)]
+    start = start[nodes]
+    state = np.repeat(start, counts + 1)
     births = [state[base[v] : base[v] + 1 + len(events[v])] for v in range(n)]
-    src = np.empty(n_events, dtype=np.intp)
+    # the event times increase, so the source's births need no running max
+    source = slot[net.source_index]
+    ev = events[source] if ids is None else ids[events[source]]
+    np.maximum(times[ev], start[source], out=births[source][1:])
+
+    # src[i] is the slot of the value that kept event i carries: its tail's
+    # birth just before the event (unset for the virtual edge's events)
+    src = np.empty(len(heads), dtype=np.intp)
     by_tail = np.argsort(tails, kind="stable")
     tail_first = np.concatenate(
         ([0], np.cumsum(np.bincount(tails, minlength=n + 1)))
     ).tolist()
-    for u in range(n + 1):
+    for u in range(n):
         ev = by_tail[tail_first[u] : tail_first[u + 1]]
-        src[ev] = ev if u == n else np.searchsorted(events[u], ev) + base[u]
-    src = src[by_head]
+        src[ev] = np.searchsorted(events[u], ev) + base[u]
+    src = np.take(src, by_head, out=by_tail)  # by_tail is spent
 
     tails_of = [set() for _ in range(n)]
     for u, v in zip(net.edge_tails, net.edge_heads):
-        tails_of[v].add(u)
-    # step of the last change of each node (index n: the event times, which
-    # never change) and of each node's last evaluation
-    changed = [0] * (n + 1)
+        if slot[v] < n:
+            tails_of[slot[v]].add(slot[u])
+    # step of the last change of each node and of its last evaluation
+    changed = [0] * n
     evaluated = [-1] * n
     step = 0
-    order = [v for v in bfs_order(net) if v < n and len(events[v])]
-    buf = np.empty(n_events)
+    order = [
+        slot[v]
+        for v in bfs_order(net)
+        if slot[v] < n and slot[v] != source and len(events[slot[v]])
+    ]
+    buf = np.empty(counts.max())
     moved = True
     while moved:
         moved = False
@@ -224,6 +286,8 @@ def _births(
                 births[v][1:] = x
                 changed[v] = step
                 moved = True
+    if ids is not None:
+        events = [ids[ev] for ev in events]
     return events, births
 
 
@@ -256,32 +320,50 @@ def simulate(
     cfg: SimConfig,
     thresholds: list[float] | tuple[float, ...] = (),
     trace_path: str | None = None,
+    target: int | None = None,
 ) -> SimResult:
     """Run ``cfg.total_events`` ring events and integrate the kept window.
 
     ``thresholds`` must be fixed here so occupancies accumulate in one pass.
     ``trace_path`` receives one CSV row per event with every node's age.
-    Raises :class:`InvalidInitialAge` for an initial age of an unknown node
-    or one that is negative or not finite.
+    With a ``target`` subset mask, the same events are drawn, but only the
+    nodes that reach the target are solved and only the target's nodes are
+    integrated and listed in the result; their values are those of the
+    whole-network run.  A target cannot be combined with a trace, which
+    lists every node (:class:`ValueError`); a bad target is refused as by
+    :func:`~aoinet.network.ancestors`.  Raises
+    :class:`InvalidInitialAge` for an initial age of an unknown node or one
+    that is negative or not finite.
     """
     thresholds = tuple(float(d) for d in thresholds)
-    n = net.n_user
     n_events = cfg.total_events
     start = _start_births(net, cfg.initial_ages)
+    if target is None:
+        nodes = list(range(net.n_user))
+        report = nodes
+    else:
+        if trace_path is not None:
+            raise ValueError("a trace lists every node; it cannot have a target")
+        nodes = sorted(ancestors(net, target))
+        report = [v for v in nodes if target >> v & 1]
     rng = np.random.default_rng(cfg.master_seed)
 
-    times = np.cumsum(rng.exponential(scale=1.0 / net.total_rate, size=n_events))
+    times = rng.exponential(scale=1.0 / net.total_rate, size=n_events)
+    np.cumsum(times, out=times)
     cum = np.cumsum(net.edge_rates) / net.total_rate
-    picks = np.searchsorted(cum, rng.random(n_events), side="right")
+    picks = _picks(cum, rng.random(n_events))
     np.clip(picks, 0, len(net.edge_rates) - 1, out=picks)
 
-    events, births = _births(net, times, picks, start)
+    events, births = _births(net, times, picks, start, nodes)
     if trace_path is not None:
         _write_trace(trace_path, net, times, picks, events, births)
 
-    # change logs: time 0 and every event that moves a node's birth
+    # change logs of the reported nodes: time 0 and every event that moves
+    # the node's birth
     cts, cbs = [], []
-    for ev, b in zip(events, births):
+    pos = {v: k for k, v in enumerate(nodes)}
+    for v in report:
+        ev, b = events[pos[v]], births[pos[v]]
         moved = np.flatnonzero(b[1:] != b[:-1])
         cts.append(np.concatenate(([0.0], times[ev[moved]])))
         cbs.append(np.concatenate((b[:1], b[1:][moved])))
@@ -293,6 +375,7 @@ def simulate(
     events_used = n_events - burn
     window = t_end - t0
 
+    n = len(report)
     integral = np.zeros(n)
     integral_sq = np.zeros(n)
     occupancy = {d: np.zeros(n) for d in thresholds}
@@ -305,7 +388,7 @@ def simulate(
             occupancy[d][v] = x
 
     return SimResult(
-        node_names=net.node_names,
+        node_names=tuple(net.node_names[v] for v in report),
         window_start=t0,
         window_length=window,
         events_used=events_used,
@@ -377,9 +460,16 @@ def subset_time_average(res: SimResult, mask: int) -> tuple[float, float]:
 
     The subset's age is the minimum over its nodes, so its birth at any time
     is the maximum of theirs; it changes only at their change points.
+    ``mask`` indexes ``res.node_names``, which for a run with a target are
+    the target's nodes only; a bit beyond them raises :class:`KeyError`.
     Raises :class:`TooFewEvents` like :func:`time_average_stderr`.
     """
     _check_batches(res)
+    if mask >> len(res.node_names):
+        raise KeyError(
+            f"subset mask {mask:#x} has bits beyond the {len(res.node_names)} "
+            "nodes of the result"
+        )
     idx = [i for i in range(len(res.node_names)) if mask >> i & 1]
     if not idx:
         raise EmptySubset("subset must be non-empty")

@@ -149,6 +149,16 @@ def test_cdf_inversion_grid(capsys, tri_file):
     assert all(x <= y + 1e-9 for x, y in zip(vals, vals[1:]))
 
 
+def test_cdf_sample_accepts_one_sample(capsys, tri_file):
+    # an empirical CDF needs no stderr of a mean, so one replicate is allowed
+    code, out, _ = run_cli(
+        capsys, "cdf", "--net", tri_file, "--node", "d", "--d-grid", "0:1:1",
+        "--method", "sample", "--samples", "1", "--seed", "1",
+    )
+    assert code == 0
+    assert [r["meta"]["n"] for r in rows_of(out)] == ["1", "1"]
+
+
 def test_cdf_sample_requires_samples(capsys, tri_file):
     code, _, err = run_cli(
         capsys,
@@ -381,6 +391,7 @@ def test_non_finite_rates_refused(capsys, tmp_path, text):
     "args, code",
     [
         ("sample --samples 0", 2),
+        ("sample --samples 1", 2),  # its stderr would be infinite
         ("sample --samples 10 --workers 0", 2),
         ("sample --samples 10 --seed -1", 2),
         (f"sample --samples 10 --seed {1 << 64}", 2),
@@ -392,6 +403,7 @@ def test_non_finite_rates_refused(capsys, tmp_path, text):
         ("simulate --events 10 --thresholds nan", 2),
         ("simulate --events 10 --thresholds 1,1.0", 2),
         ("compare --node d --samples 0 --events 10", 2),
+        ("compare --node d --samples 1 --events 100", 2),
         ("compare --node d --samples 10 --events 0", 2),
         ("chernoff --node d --d -1", 2),
         ("chernoff --node d --d nan", 2),
@@ -485,25 +497,37 @@ def test_tiny_ages_still_compared(capsys, tmp_path, target):
 
 
 def test_one_target_commands_match_the_full_batch(capsys, tmp_path):
-    # compare and cdf --method sample draw only the target's ancestor edges;
-    # their rows equal the ones computed from every node's sampled ages
+    # compare and cdf --method sample draw only the target's ancestor edges,
+    # and compare simulates only the target's ancestors; their rows equal the
+    # ones computed from every node's sampled ages and simulated births
     net = random_ssn(8, 2024)
     path = tmp_path / "r8.json"
     edges = [(e.frm, e.to, e.rate) for e in net.base.edges]
     path.write_text(net_json(net.lam, "v0", edges))
     n = 70_000
+    events = 50_000
     batch = a.sample_ages(net, n, a.RngPolicy(5))
+    whole = a.simulate(net, a.SimConfig(total_events=events, master_seed=5))
     grid = np.arange(0.0, 4.25, 0.5)
     for target in [f"v{i}" for i in range(8)] + ["{v6,v7}"]:
-        mask = net.subset_mask(target.strip("{}").split(","))
+        labels = target.strip("{}").split(",")
+        mask = net.subset_mask(labels)
         common = ["--net", str(path), "--node", target, "--samples", str(n)]
         code, out, _ = run_cli(
-            capsys, "compare", *common, "--events", "1000", "--seed", "5"
+            capsys, "compare", *common, "--events", str(events), "--seed", "5"
         )
         assert code == 0
-        (row,) = [r for r in rows_of(out) if r["method"] == "sample"]
+        rows = {r["method"]: r for r in rows_of(out)}
         want = a.estimate(batch, mask, a.Functional.mean())
-        assert (row["value"], row["stderr"]) == want
+        assert (rows["sample"]["value"], rows["sample"]["stderr"]) == want
+        if len(labels) == 1:
+            want = (
+                a.time_average(whole, target),
+                a.time_average_stderr(whole, target),
+            )
+        else:
+            want = a.subset_time_average(whole, mask)
+        assert (rows["simulate"]["value"], rows["simulate"]["stderr"]) == want
         code, out, _ = run_cli(
             capsys, "cdf", *common, "--d-grid", "0:4:0.5", "--method", "sample",
             "--seed", "5",

@@ -7,6 +7,8 @@ import pytest
 
 import aoinet as a
 from aoinet import errors
+from aoinet.network import ancestor_network
+from aoinet.simulator import _picks
 from conftest import random_ssn, triangle, triangle_chain, two_node
 
 
@@ -362,3 +364,113 @@ def test_underflowing_integrals_raise():
             res = run(triangle(rate, rate, rate, rate), 1000, 3)
             assert a.time_average_stderr(res, "d") > 0.0
             assert a.time_average(res, "d") == pytest.approx(1.75 / rate, rel=0.5)
+
+
+def assert_target_matches_whole_run(net, cfg, target, thresholds=(1.0, 2.0)):
+    whole = a.simulate(net, cfg, thresholds=thresholds)
+    res = a.simulate(net, cfg, thresholds=thresholds, target=target)
+    assert res.node_names == net.subset_labels(target)
+    assert res.window_start == whole.window_start
+    assert res.window_length == whole.window_length
+    assert res.events_used == whole.events_used
+    assert res.end_time == whole.end_time
+    for name in res.node_names:
+        assert a.time_average(res, name) == a.time_average(whole, name)
+        assert a.time_average_stderr(res, name) == a.time_average_stderr(whole, name)
+        for d in thresholds:
+            assert a.violation_fraction(res, name, d) == a.violation_fraction(
+                whole, name, d
+            )
+    everything = (1 << len(res.node_names)) - 1
+    assert a.subset_time_average(res, everything) == a.subset_time_average(
+        whole, target
+    )
+
+
+R8_TARGETS = [["v%d" % i] for i in range(8)] + [["v6", "v7"]]
+
+
+@pytest.mark.parametrize("labels", R8_TARGETS, ids=",".join)
+def test_target_run_matches_the_whole_network_on_r8(labels):
+    # the target's values come only from the nodes that reach it, and the
+    # run draws the same events, so they equal the whole run's bit for bit
+    net = random_ssn(8, 2024)
+    cfg = a.SimConfig(total_events=60_000, master_seed=21)
+    assert_target_matches_whole_run(net, cfg, net.subset_mask(labels))
+
+
+@pytest.mark.parametrize("labels", [["s"], ["v"], ["d"], ["v", "d"], ["s", "d"]])
+def test_target_run_matches_the_whole_network_on_tri(tri, labels):
+    cfg = a.SimConfig(
+        total_events=20_000, master_seed=22, initial_ages={"v": 3.0, "d": 0.5}
+    )
+    assert_target_matches_whole_run(tri, cfg, tri.subset_mask(labels))
+
+
+def test_target_run_checks_then_ignores_initial_ages_of_other_nodes(tri):
+    # d does not reach s: its initial age is validated, then unused
+    s_only = tri.subset_mask(["s"])
+    cfg = a.SimConfig(total_events=5000, master_seed=23, initial_ages={"d": 7.0})
+    plain = a.SimConfig(total_events=5000, master_seed=23)
+    got = a.simulate(tri, cfg, target=s_only)
+    want = a.simulate(tri, plain, target=s_only)
+    assert np.array_equal(got.integral_age, want.integral_age)
+    assert np.array_equal(got.batch_means, want.batch_means)
+    for bad, err in (({"d": -1.0}, "finite and >= 0"), ({"x": 1.0}, "unknown node")):
+        cfg = a.SimConfig(total_events=100, master_seed=0, initial_ages=bad)
+        with pytest.raises(errors.InvalidInitialAge, match=err):
+            a.simulate(tri, cfg, target=s_only)
+
+
+def test_target_run_refuses_a_trace(tmp_path, tri):
+    path = tmp_path / "trace.csv"
+    cfg = a.SimConfig(total_events=100, master_seed=0)
+    with pytest.raises(ValueError, match="trace"):
+        a.simulate(tri, cfg, trace_path=str(path), target=tri.subset_mask(["d"]))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("target", [0, 1 << 3, 1 << 3 | 1, 1 << 4])
+def test_bad_target_refused_like_ancestor_network(tri, target):
+    with pytest.raises(Exception) as want:
+        ancestor_network(tri, target)
+    cfg = a.SimConfig(total_events=100, master_seed=0)
+    with pytest.raises(want.type):
+        a.simulate(tri, cfg, target=target)
+
+
+def test_subset_mask_beyond_the_result_refused(tri):
+    cfg = a.SimConfig(total_events=1000, master_seed=24)
+    res = a.simulate(tri, cfg, target=tri.subset_mask(["d"]))
+    mean, _ = a.subset_time_average(res, 1)
+    assert mean == pytest.approx(a.time_average(res, "d"), rel=1e-12)
+    with pytest.raises(KeyError):
+        a.subset_time_average(res, tri.subset_mask(["v", "d"]))
+
+
+@pytest.mark.parametrize("n_edges", [1, 2, 16, 300, 3000])
+def test_bucket_picks_equal_a_binary_search(n_edges):
+    rng = np.random.default_rng(n_edges)
+    rates = rng.uniform(0.5, 3.0, n_edges)
+    k = max(1024, 1 << (64 * n_edges - 1).bit_length())
+    # the second table ends below 1, so draws past its end give n_edges
+    short = np.cumsum(rates) / (rates.sum() * 1.001)
+    for cum in (np.cumsum(rates) / rates.sum(), short):
+        bucket_edges = np.arange(k + 1) / k
+        u = np.concatenate(
+            [
+                rng.random(100_000),
+                cum,
+                np.nextafter(cum, 0.0),
+                np.nextafter(cum, 2.0),
+                bucket_edges,
+                np.nextafter(bucket_edges, 0.0),
+                np.nextafter(bucket_edges, 2.0),
+                [0.0, np.nextafter(1.0, 0.0)],
+            ]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.searchsorted(cum, u, side="right")
+        got = _picks(cum, u.copy())
+        assert np.array_equal(got, want)
+    assert want.max() == n_edges
