@@ -14,11 +14,9 @@ from .closed_forms import (
     triangle_min_tail,
 )
 from .exact import (
-    AgeTable,
     MgfQuery,
     TailQuery,
     average_age,
-    average_age_all,
     cdf_grid,
     chain_average_ages,
     chernoff_bound,
@@ -27,10 +25,8 @@ from .exact import (
 )
 from .network import (
     AugmentedNetwork,
-    Boundary,
     EdgeSpec,
     NetworkSpec,
-    boundary,
     parse_network,
     validate_ssn,
 )
@@ -57,9 +53,7 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeTable",
     "AugmentedNetwork",
-    "Boundary",
     "EdgeSpec",
     "Functional",
     "MgfQuery",
@@ -71,8 +65,6 @@ __all__ = [
     "TailQuery",
     "TriangleRates",
     "average_age",
-    "average_age_all",
-    "boundary",
     "cdf_grid",
     "chain_average_ages",
     "chernoff_bound",

@@ -10,6 +10,7 @@ model errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as csv_mod
 import io
 import json
@@ -22,7 +23,7 @@ import numpy as np
 from . import exact as exact_mod
 from . import sampler as sampler_mod
 from . import simulator as sim_mod
-from .errors import AoiError
+from .errors import AoiError, MalformedNetwork
 from .network import parse_network, validate_ssn
 
 MAX_GRID_POINTS = 100_000  # largest --d-grid a cdf run will evaluate
@@ -34,7 +35,17 @@ def _load_network(path: str):
             text = fh.read()
     except OSError as exc:
         raise AoiError(f"cannot read network file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedNetwork(f"network file {path!r} is not UTF-8: {exc}") from exc
     return validate_ssn(parse_network(text))
+
+
+def _output(path: str):
+    """``path`` opened for writing, refused with an error if it cannot be."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise AoiError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _parse_subset_expr(net, expr: str) -> int:
@@ -200,11 +211,12 @@ def cmd_chernoff(args):
 def cmd_sample(args):
     net = _load_network(args.net)
     seed = _seed_of(args)
-    batch = sampler_mod.sample_ages(
-        net, args.samples, sampler_mod.RngPolicy(seed), workers=args.workers
-    )
-    if args.dump_csv:
-        with open(args.dump_csv, "w", newline="") as fh:
+    # the dump is opened first, so that a bad path costs no sampling
+    with _output(args.dump_csv) if args.dump_csv else contextlib.nullcontext() as fh:
+        batch = sampler_mod.sample_ages(
+            net, args.samples, sampler_mod.RngPolicy(seed), workers=args.workers
+        )
+        if fh is not None:
             writer = csv_mod.writer(fh)
             writer.writerow(net.node_names)
             for row in batch.ages:
@@ -227,6 +239,8 @@ def cmd_simulate(args):
         master_seed=seed,
         burn_in_fraction=args.burn_in,
     )
+    if args.trace is not None:
+        _output(args.trace).close()  # a bad path costs no run; simulate rewrites it
     res = sim_mod.simulate(net, cfg, thresholds=thresholds, trace_path=args.trace)
     rows = []
     for name in net.node_names:

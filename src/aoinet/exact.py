@@ -5,7 +5,8 @@ every source path to every node of subset A passes node d, the distance to
 A is the distance to d plus the distance from d to A, over disjoint edges;
 so mean(A) = mean(d) + a mean walk from A based at d, over the in-edges of
 the nodes that reach A without passing d.  A walk costs time exponential
-in the nodes it touches, which the exact-engine limit bounds.
+in the nodes it touches, which the exact-engine limit bounds.  Every node's
+mean comes from one walk per dominator, as a dict keyed by singleton mask.
 
 Distributional quantities come from one cut plan per query: the supersets
 the recursion reaches from the queried subset, in dependency order, with
@@ -14,6 +15,10 @@ to absorption of the chain that leaves each entry at its rate sum and ends
 with an Exp(lambda) stage; CDF values uniformize it (Jensen 1953; Grassmann
 1977), and E[exp(s * age)] is one loop over the plan, which converges below
 the plan's smallest boundary sum.
+
+The exact-engine limit is read from ``AOI_MAX_EXACT_NODES`` (default 20,
+hard cap 28) on every call: means count the nodes of their largest walk,
+and the MGF, CDF and Chernoff entry points count the network's user nodes.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  Subsets are bitmasks over user-node indices; the virtual
@@ -59,51 +64,16 @@ class TailQuery:
     d: float
 
 
-class AgeTable:
-    """Map from subset bitmask to exact average age.
-
-    Backed either by a dense array indexed by mask (full tables) or by a
-    plain dict (the singleton tables of :func:`chain_average_ages`).
-    """
-
-    def __init__(self, values, network_hash: str):
-        self.values = values
-        self.network_hash = network_hash
-
-    def __getitem__(self, mask: int) -> float:
-        if isinstance(self.values, dict):
-            return self.values[mask]
-        if mask <= 0 or mask >= len(self.values):
-            raise KeyError(mask)
-        return float(self.values[mask])
-
-    def __contains__(self, mask: int) -> bool:
-        if isinstance(self.values, dict):
-            return mask in self.values
-        return 0 < mask < len(self.values)
-
-    def masks(self):
-        if isinstance(self.values, dict):
-            return sorted(self.values)
-        return range(1, len(self.values))
-
-
-def _resolve_max_nodes(max_nodes: int | None) -> int:
-    if max_nodes is None:
-        env = os.environ.get(MAX_NODES_ENV)
-        if not env:
-            return DEFAULT_MAX_EXACT_NODES
-        try:
-            max_nodes = int(env)
-        except ValueError:
-            max_nodes = 0  # refused below, like any value under 1
-        if max_nodes < 1:
-            raise AoiError(f"{MAX_NODES_ENV} must be an integer >= 1, got {env!r}")
-    return max_nodes
-
-
-def _check_size(nodes: int, max_nodes: int | None, what: str = "user nodes") -> None:
-    limit = min(_resolve_max_nodes(max_nodes), HARD_MAX_EXACT_NODES)
+def _check_size(nodes: int, what: str = "user nodes") -> None:
+    """Refuse ``nodes`` above the limit that ``AOI_MAX_EXACT_NODES`` sets."""
+    env = os.environ.get(MAX_NODES_ENV)
+    try:
+        limit = int(env) if env else DEFAULT_MAX_EXACT_NODES
+    except ValueError:
+        limit = 0  # refused below, like any value under 1
+    if limit < 1:
+        raise AoiError(f"{MAX_NODES_ENV} must be an integer >= 1, got {env!r}")
+    limit = min(limit, HARD_MAX_EXACT_NODES)
     if nodes > limit:
         raise NetworkTooLarge(
             f"{nodes} {what} exceeds the exact-engine limit {limit} "
@@ -121,48 +91,6 @@ def _user_edges(net: AugmentedNetwork) -> list[tuple[int, int, float]]:
         (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
         for e in range(len(net.edge_rates) - 1)
     ]
-
-
-def average_age_all(net: AugmentedNetwork, max_nodes: int | None = None) -> AgeTable:
-    """Exact E[age] for every non-empty subset of user nodes.
-
-    Single bottom-up pass over a dense array indexed by bitmask, grouped by
-    decreasing popcount: the recursion for a subset references only strict
-    supersets.  Vectorized per popcount group across masks.
-    """
-    _check_size(net.n_user, max_nodes)
-    n = net.n_user
-    src_bit = 1 << net.source_index
-    size = 1 << n
-    values = np.empty(size)
-    values[0] = np.nan
-
-    masks_by_pop = [[] for _ in range(n + 1)]
-    for m in range(1, size):
-        masks_by_pop[m.bit_count()].append(m)
-
-    edges = _user_edges(net)
-    inv_lam = 1.0 / net.lam
-    for pop in range(n, 0, -1):
-        group = np.array(masks_by_pop[pop], dtype=np.int64)
-        if group.size == 0:
-            continue
-        with_src = (group & src_bit) != 0
-        values[group[with_src]] = inv_lam
-        rest = group[~with_src]
-        if rest.size == 0:
-            continue
-        mu = np.zeros(rest.size)
-        acc = np.zeros(rest.size)
-        for u, v, r in edges:
-            sel = ((rest >> v) & 1).astype(bool) & (((rest >> u) & 1) == 0)
-            if not sel.any():
-                continue
-            mu[sel] += r
-            acc[sel] += r * values[rest[sel] | (1 << u)]
-        values[rest] = (1.0 + acc) / mu
-
-    return AgeTable(values, net.fingerprint)
 
 
 def _mean_walk(edges, base_bit: int, base_value: float):
@@ -248,9 +176,7 @@ def _region_walk(net: AugmentedNetwork, into, nodes: list[int], d: int):
     return len(seen) + 1, _mean_walk(edges, 1 << d, base)
 
 
-def average_age(
-    net: AugmentedNetwork, a: int, max_nodes: int | None = None, *, _split=None
-) -> float:
+def average_age(net: AugmentedNetwork, a: int, *, _split=None) -> float:
     """Exact E[age] of subset ``a``, split at its nearest common dominator.
 
     d is the nearest node that strictly dominates every node of ``a``, and
@@ -265,7 +191,7 @@ def average_age(
     check_subset(net, a)
     src = net.source_index
     if a >> src & 1:
-        _check_size(1, max_nodes, _WALK_NODES)
+        _check_size(1, _WALK_NODES)
         return 1.0 / net.lam
     if _split is not None:
         return _split.node_mean(a.bit_length() - 1)
@@ -279,7 +205,7 @@ def average_age(
     while d != src:
         walks.append((1 << d, *_region_walk(net, into, [d], idom[d])))
         d = idom[d]
-    _check_size(max(size for _, size, _ in walks), max_nodes, _WALK_NODES)
+    _check_size(max(size for _, size, _ in walks), _WALK_NODES)
     mean = 0.0
     for start, _, walk in reversed(walks):
         mean += walk(start)
@@ -311,21 +237,17 @@ class _Split:
         return self.mean[v]
 
 
-def chain_average_ages(
-    net: AugmentedNetwork, max_nodes: int | None = None
-) -> AgeTable:
+def chain_average_ages(net: AugmentedNetwork) -> dict[int, float]:
     """Exact E[age] of every single node, one walk per dominator.
 
-    Each node is one :func:`average_age` query, in breadth-first order so
-    that a dominator's mean is known before its children's.  The size
-    limit counts the largest shared walk.
+    Returns ``{1 << v: mean}`` over the user nodes v.  Each node is one
+    :func:`average_age` query, in breadth-first order so that a dominator's
+    mean is known before its children's.  The size limit counts the
+    largest shared walk.
     """
     split = _Split(net)
-    _check_size(split.largest, max_nodes, _WALK_NODES)
-    values = {
-        1 << v: average_age(net, 1 << v, max_nodes, _split=split) for v in split.order
-    }
-    return AgeTable(values, net.fingerprint)
+    _check_size(split.largest, _WALK_NODES)
+    return {1 << v: average_age(net, 1 << v, _split=split) for v in split.order}
 
 
 def _cut_plan(net: AugmentedNetwork, a: int) -> list[tuple[float, tuple]]:
@@ -387,12 +309,10 @@ def mgf_convergence_bound(net: AugmentedNetwork, a: int) -> float:
     return _bound(_cut_plan(net, a), net.lam)
 
 
-def mgf(
-    net: AugmentedNetwork, q: MgfQuery, max_nodes: int | None = None
-) -> complex:
+def mgf(net: AugmentedNetwork, q: MgfQuery) -> complex:
     """E[exp(s * age)] of the queried subset via the boundary-cut recursion."""
     check_subset(net, q.subset)
-    _check_size(net.n_user, max_nodes)
+    _check_size(net.n_user)
     s = complex(q.s)
     plan = _cut_plan(net, q.subset)
     bound = _bound(plan, net.lam)
@@ -454,9 +374,7 @@ def _window(x: float) -> tuple[int, int]:
     return max(0, math.floor(x - spread)), math.ceil(x + spread)
 
 
-def cdf_grid(
-    net: AugmentedNetwork, a: int, grid, max_nodes: int | None = None
-) -> np.ndarray:
+def cdf_grid(net: AugmentedNetwork, a: int, grid) -> np.ndarray:
     """Pr[age <= d] of subset ``a`` at every threshold d of ``grid``.
 
     Uniformized at L = max(lambda, max mu), with a_k the mass absorbed after
@@ -466,7 +384,7 @@ def cdf_grid(
     accuracy of tiny values; the others are 1 - sum(Pois * (1 - a)).
     """
     check_subset(net, a)
-    _check_size(net.n_user, max_nodes)
+    _check_size(net.n_user)
     d = np.asarray(grid, dtype=float).ravel()
     if not np.all(d >= 0.0):
         raise ValueError(f"thresholds d must be non-negative, got {d.min()}")
@@ -491,9 +409,7 @@ def cdf_grid(
     return np.clip(out, 0.0, 1.0)
 
 
-def chernoff_bound(
-    net: AugmentedNetwork, q: TailQuery, max_nodes: int | None = None
-) -> float:
+def chernoff_bound(net: AugmentedNetwork, q: TailQuery) -> float:
     """Upper bound on Pr[age >= d]: min over s of e^{-sd} E[e^{s age}].
 
     log E[e^{s age}] - s d is convex on the convergence interval, so a coarse
@@ -501,7 +417,7 @@ def chernoff_bound(
     optimum.  Clamped to 1 (the bound is vacuous for d at or below the mean).
     """
     check_subset(net, q.subset)
-    _check_size(net.n_user, max_nodes)
+    _check_size(net.n_user)
     d = q.d
     if d < 0:
         raise ValueError(f"threshold d must be non-negative, got {d}")

@@ -12,6 +12,11 @@ construction.
 Node indexing: user nodes get dense indices in order of appearance; the
 virtual node always gets the highest index, so bitmasks over user nodes form
 a contiguous prefix.
+
+The engines share a few graph helpers: breadth-first order, in-edge lists,
+the nodes that reach a subset, and the ancestor network of a subset, on
+which one-target queries sample and simulate.  Sums over the edges that
+enter a subset belong to the exact engine's cut plan.
 """
 
 from __future__ import annotations
@@ -54,14 +59,6 @@ class NetworkSpec:
     edges: tuple[EdgeSpec, ...]
     source: str
     lam: float
-
-
-@dataclass(frozen=True)
-class Boundary:
-    """The edges entering a node subset from outside, and their rate sum."""
-
-    edges: tuple[EdgeSpec, ...]
-    rate_sum: float
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ def parse_network(text: str) -> NetworkSpec:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise MalformedNetwork(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedNetwork("top-level value must be a JSON object")
@@ -409,16 +406,3 @@ def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
         ),
         merge_warning=False,
     )
-
-
-def boundary(net: AugmentedNetwork, a: int) -> Boundary:
-    """Edges of the augmented graph entering subset ``a`` from outside."""
-    check_subset(net, a)
-    edges = []
-    rate_sum = 0.0
-    for e in range(len(net.edge_rates)):
-        u, v = net.edge_tails[e], net.edge_heads[e]
-        if a >> v & 1 and not a >> u & 1:
-            edges.append(EdgeSpec(net.label(u), net.label(v), net.edge_rates[e]))
-            rate_sum += net.edge_rates[e]
-    return Boundary(tuple(edges), rate_sum)

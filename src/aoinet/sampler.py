@@ -72,14 +72,6 @@ class RngPolicy:
             bg.advance(skip // 4)
         return bg
 
-    def edge_exponentials(
-        self, edge_key: tuple[str, str], rate: float, start: int, count: int
-    ) -> np.ndarray:
-        """Draws ``start`` .. ``start+count`` of the edge's Exp(rate) stream."""
-        out = np.empty(count)
-        self._fill_exponentials(edge_key, rate, start, out)
-        return out
-
     def _fill_exponentials(
         self, edge_key: tuple[str, str], rate: float, start: int, out: np.ndarray
     ) -> None:
@@ -99,8 +91,6 @@ class SampleBatch:
 
     ages: np.ndarray  # shape (n, |V|)
     n: int
-    rng: RngPolicy
-    network_hash: str
 
 
 @dataclass(frozen=True)
@@ -231,7 +221,7 @@ def sample_ages(
     ages = np.empty((n, net.n_user))
     for start, dist in _chunks(net, rng, n, workers):
         ages[start : start + dist.shape[1]] = dist.T
-    return SampleBatch(ages=ages, n=n, rng=rng, network_hash=net.fingerprint)
+    return SampleBatch(ages=ages, n=n)
 
 
 def sample_subset(

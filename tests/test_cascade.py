@@ -9,12 +9,12 @@ import pytest
 
 import aoinet as a
 from aoinet import exact
-from conftest import build_net, serial, triangle_chain
+from conftest import average_age_all, build_net, serial, triangle_chain
 
 
 def assert_matches_full_table(net):
     table = a.chain_average_ages(net)
-    full = a.average_age_all(net)
+    full = average_age_all(net)
     for v in range(net.n_user):
         assert table[1 << v] == pytest.approx(full[1 << v], rel=1e-12, abs=0)
 

@@ -112,6 +112,38 @@ def test_missing_file_is_model_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "case", ["not-utf8", "deep-json", "huge-int", "dump-csv", "trace"]
+)
+def test_bad_files_refused(capsys, monkeypatch, tmp_path, tri_file, case):
+    net = tmp_path / "net.json"
+    missing = str(tmp_path / "no-such-dir" / "out.csv")
+    if case == "not-utf8":
+        net.write_bytes(net_json(1.0, "s", [("s", "d", 1)]).encode("utf-16"))
+        argv = ["validate", "--net", str(net)]
+    elif case == "deep-json":
+        net.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["validate", "--net", str(net)]
+    elif case == "huge-int":  # more digits than int() converts
+        net.write_text(net_json(1.0, "s", [("s", "d", 1)]).replace("1.0", "1" * 5000))
+        argv = ["validate", "--net", str(net)]
+    elif case == "dump-csv":
+        argv = ["sample", "--net", tri_file, "--samples", "10", "--dump-csv", missing]
+    else:
+        argv = ["simulate", "--net", tri_file, "--events", "1000", "--trace", missing]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    # a bad output path is refused before any sampling or simulation
+    monkeypatch.setattr(a.sampler, "sample_ages", no_work)
+    monkeypatch.setattr(a.simulator, "simulate", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys, tri_file):
     assert run_cli(capsys, "exact", "--net", tri_file)[0] == 2  # no target
     assert run_cli(capsys, "frobnicate")[0] == 2

@@ -8,6 +8,7 @@ import aoinet as a
 from aoinet import errors, exact
 from aoinet.sampler import _chunks
 from conftest import (
+    average_age_all,
     build_net,
     random_ssn,
     serial,
@@ -79,29 +80,53 @@ class TestAverageAge:
 
     def test_all_matches_single(self):
         net = random_ssn(6, 3)
-        table = a.average_age_all(net)
+        table = average_age_all(net)
         for mask in range(1, 1 << net.n_user):
             assert table[mask] == pytest.approx(
                 a.average_age(net, mask), rel=1e-12
             )
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
         net = random_ssn(6, 1)
-        with pytest.raises(errors.NetworkTooLarge):
-            a.average_age_all(net, max_nodes=5)
+        src = 1 << net.source_index
         # every non-source node: the walk from the source touches all 6
-        rest = net.full_user_mask & ~(1 << net.source_index)
-        with pytest.raises(errors.NetworkTooLarge):
-            a.average_age(net, rest, max_nodes=5)
-        a.average_age(net, rest, max_nodes=6)
-
-    def test_env_override(self, monkeypatch):
-        net = random_ssn(6, 1)
+        rest = net.full_user_mask & ~src
         monkeypatch.setenv("AOI_MAX_EXACT_NODES", "5")
         with pytest.raises(errors.NetworkTooLarge):
-            a.average_age_all(net)
+            a.average_age(net, rest)
+        assert a.average_age(net, src) == 1.0 / net.lam  # a 1-node walk
+        # the distribution entry points count every user node, whatever
+        # their plan reaches: the source's plan is empty
+        for mask in (rest, src):
+            with pytest.raises(errors.NetworkTooLarge):
+                a.mgf(net, a.MgfQuery(mask, 0.0))
+            with pytest.raises(errors.NetworkTooLarge):
+                a.cdf_grid(net, mask, [1.0])
+            with pytest.raises(errors.NetworkTooLarge):
+                a.chernoff_bound(net, a.TailQuery(mask, 1.0))
         monkeypatch.setenv("AOI_MAX_EXACT_NODES", "6")
-        a.average_age_all(net)
+        a.average_age(net, rest)
+        assert a.mgf(net, a.MgfQuery(rest, 0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert a.cdf_grid(net, rest, [0.0])[0] == 0.0
+
+    def test_env_override(self, monkeypatch):
+        chain = serial(1.0, [1.0] * 20)  # 21 user nodes
+        last = 1 << (chain.n_user - 1)
+        monkeypatch.delenv("AOI_MAX_EXACT_NODES", raising=False)
+        with pytest.raises(errors.NetworkTooLarge, match="limit 20"):
+            a.mgf(chain, a.MgfQuery(last, 0.0))
+        with pytest.raises(errors.NetworkTooLarge, match="limit 20"):
+            a.cdf_grid(chain, last, [1.0])
+        monkeypatch.setenv("AOI_MAX_EXACT_NODES", "21")
+        assert a.mgf(chain, a.MgfQuery(last, 0.0)) == pytest.approx(1.0, abs=1e-15)
+        a.cdf_grid(chain, last, [1.0])
+        # the setting is capped at 28 nodes
+        longer = serial(1.0, [1.0] * 28)
+        monkeypatch.setenv("AOI_MAX_EXACT_NODES", "100")
+        with pytest.raises(errors.NetworkTooLarge, match="limit 28"):
+            a.mgf(longer, a.MgfQuery(1 << (longer.n_user - 1), 0.0))
+        with pytest.raises(errors.NetworkTooLarge, match="limit 28"):
+            a.cdf_grid(longer, 1 << (longer.n_user - 1), [1.0])
 
 
 class TestMgf:
@@ -146,7 +171,7 @@ class TestMgf:
         h = 1e-4
         for seed in range(3):
             net = random_ssn(6, seed)
-            table = a.average_age_all(net)
+            table = average_age_all(net)
             for mask in range(1, 1 << net.n_user):
                 fp = a.mgf(net, a.MgfQuery(mask, h)).real
                 fm = a.mgf(net, a.MgfQuery(mask, -h)).real
@@ -273,7 +298,7 @@ class TestDominatorSplit:
     def test_node_query_equals_all_nodes_table(self, name):
         net = {**SOURCE_ONLY_NETS, **DOMINATED_NETS}[name]()
         table = a.chain_average_ages(net)
-        assert sorted(table.masks()) == [1 << v for v in range(net.n_user)]
+        assert sorted(table) == [1 << v for v in range(net.n_user)]
         for v in range(net.n_user):
             assert table[1 << v] == a.average_age(net, 1 << v)
 
@@ -294,21 +319,25 @@ class TestDominatorSplit:
                 assert idom[v] in doms
                 assert all(d == idom[v] or not reaches(net, idom[v], d) for d in doms)
 
-    def test_walk_size_guard(self):
+    def test_walk_size_guard(self, monkeypatch):
         net = triangle_chain(1.0, [(1, 1, 1)] * 3)
         last = net.subset_mask(["v6"])
         # every walk on the way to v6 spans one triangle
-        assert a.average_age(net, last, max_nodes=3) == pytest.approx(1.0 + 0.75 * 3)
-        a.chain_average_ages(net, max_nodes=3)
+        monkeypatch.setenv("AOI_MAX_EXACT_NODES", "3")
+        assert a.average_age(net, last) == pytest.approx(1.0 + 0.75 * 3)
+        a.chain_average_ages(net)
+        monkeypatch.setenv("AOI_MAX_EXACT_NODES", "2")
         with pytest.raises(errors.NetworkTooLarge):
-            a.average_age(net, last, max_nodes=2)
+            a.average_age(net, last)
         with pytest.raises(errors.NetworkTooLarge):
-            a.chain_average_ages(net, max_nodes=2)
+            a.chain_average_ages(net)
         # v1 and v6 meet at the source, and the walk from them spans all 7
         pair = net.subset_mask(["v1", "v6"])
+        monkeypatch.setenv("AOI_MAX_EXACT_NODES", "6")
         with pytest.raises(errors.NetworkTooLarge):
-            a.average_age(net, pair, max_nodes=6)
-        assert a.average_age(net, pair, max_nodes=7) == pytest.approx(
+            a.average_age(net, pair)
+        monkeypatch.setenv("AOI_MAX_EXACT_NODES", "7")
+        assert a.average_age(net, pair) == pytest.approx(
             oracle_mean(net, pair), rel=1e-12
         )
 
@@ -421,6 +450,27 @@ class TestCutPlan:
         net = PLAN_NETS[name]()
         for mask in plan_targets(net) + [1 << net.source_index]:
             assert a.mgf_convergence_bound(net, mask) == oracle_bound(net, mask)
+
+
+@pytest.mark.parametrize("net", [random_ssn(6, 42), triangle()], ids=["r6", "tri"])
+def test_cut_plan_boundary_sums(net):
+    src = 1 << net.source_index
+    for mask in range(1, 1 << net.n_user):
+        plan = exact._cut_plan(net, mask)
+        assert (plan == []) == bool(mask & src)  # a subset with the source is a base
+        for mu, terms in plan:
+            assert mu > 0
+            total = 0.0
+            for r, _ in terms:
+                total += r
+            assert mu == total
+    # every user edge enters exactly one non-source singleton
+    singles = sum(
+        exact._cut_plan(net, 1 << v)[-1][0]
+        for v in range(net.n_user)
+        if v != net.source_index
+    )
+    assert singles + net.lam == pytest.approx(net.total_rate, rel=1e-14)
 
 
 def test_one_plan_per_query(monkeypatch):
@@ -557,7 +607,7 @@ class TestStructuralProperties:
     def test_subset_monotonicity(self):
         for seed in range(3):
             net = random_ssn(5, seed)
-            table = a.average_age_all(net)
+            table = average_age_all(net)
             full = (1 << net.n_user) - 1
             for mask in range(1, full + 1):
                 for bit in range(net.n_user):
@@ -567,7 +617,7 @@ class TestStructuralProperties:
 
     def test_source_floor(self):
         net = random_ssn(5, 7)
-        table = a.average_age_all(net)
+        table = average_age_all(net)
         floor = 1.0 / net.lam
         src_bit = 1 << net.source_index
         for mask in range(1, 1 << net.n_user):
@@ -596,7 +646,7 @@ class TestStructuralProperties:
     def test_brute_force_small_networks(self):
         # sampled shortest paths as the independent oracle, N = 1e7
         net = random_ssn(4, 5)
-        table = a.average_age_all(net)
+        table = average_age_all(net)
         masks = list(range(1, 1 << net.n_user))
         cols = {m: [i for i in range(net.n_user) if m >> i & 1] for m in masks}
         n = 10_000_000

@@ -112,43 +112,6 @@ def test_theta_prime_indexing():
     assert net.edge_rates[-1] == net.lam
 
 
-def test_boundary_triangle_singleton_d(tri):
-    b = a.boundary(tri, tri.subset_mask(["d"]))
-    assert {(e.frm, e.to) for e in b.edges} == {("s", "d"), ("v", "d")}
-    assert b.rate_sum == pytest.approx(2.0)
-
-
-def test_boundary_source_singleton(tri):
-    b = a.boundary(tri, tri.subset_mask(["s"]))
-    assert len(b.edges) == 1
-    assert b.edges[0].to == "s"
-    assert b.rate_sum == pytest.approx(tri.lam)
-
-
-def test_boundary_serial_suffix():
-    net = serial(1.0, [2.0, 3.0, 4.0])
-    mask = net.subset_mask(["v1", "v2", "v3"])
-    b = a.boundary(net, mask)
-    assert [(e.frm, e.to) for e in b.edges] == [("v0", "v1")]
-    assert b.rate_sum == pytest.approx(2.0)
-
-
-def test_boundary_rejects_bad_subsets(tri):
-    with pytest.raises(errors.EmptySubset):
-        a.boundary(tri, 0)
-    with pytest.raises(errors.SubsetContainsVirtualSource):
-        a.boundary(tri, 1 << tri.theta_prime_index)
-
-
-def test_singleton_boundaries_cover_total_rate():
-    for seed in range(5):
-        net = random_ssn(6, seed)
-        total = sum(
-            a.boundary(net, 1 << i).rate_sum for i in range(net.n_user)
-        )
-        assert total == pytest.approx(net.total_rate)
-
-
 def test_validate_idempotent(tri):
     again = a.validate_ssn(tri.base)
     assert again.fingerprint == tri.fingerprint
@@ -178,12 +141,6 @@ def test_merge_invariance_sampled_means():
     e1, s1 = a.estimate(a.sample_ages(merged, n, a.RngPolicy(11)), d1, a.Functional.mean())
     e2, s2 = a.estimate(a.sample_ages(direct, n, a.RngPolicy(11)), d1, a.Functional.mean())
     assert abs(e1 - e2) < 4 * (s1**2 + s2**2) ** 0.5
-
-
-def test_boundary_positive_for_any_subset_without_virtual_source():
-    net = random_ssn(6, 42)
-    for mask in range(1, 1 << net.n_user):
-        assert a.boundary(net, mask).rate_sum > 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,18 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aoinet as a
-from aoinet import errors
+from aoinet import errors, sampler
 from aoinet.network import VIRTUAL_SOURCE_LABEL, ancestor_network, bfs_order
 from aoinet.sampler import CHUNK, _relax_distances
-from conftest import build_net, random_ssn, triangle, two_node
+from conftest import average_age_all, build_net, random_ssn, triangle, two_node
+
+
+def exp_draws(rng, key, rate, n, start=0):
+    """Draws ``start`` .. ``start+n`` of an edge's Exp(rate) stream, by formula."""
+    gen = np.random.Generator(rng.edge_bit_generator(key, skip=start))
+    return -np.log1p(-gen.random(n)) / rate
 
 
 def edge_draws(net, rng, n):
     """Re-derive every edge's exponential stream, keyed as the sampler does."""
     return {
-        net.edge_key(e): rng.edge_exponentials(
-            net.edge_key(e), net.edge_rates[e], 0, n
-        )
+        net.edge_key(e): exp_draws(rng, net.edge_key(e), net.edge_rates[e], n)
         for e in range(len(net.edge_rates))
     }
 
@@ -64,7 +68,7 @@ def test_ages_bounded_below_by_generation_draw(tri):
     n = 3000
     rng = a.RngPolicy(3)
     batch = a.sample_ages(tri, n, rng)
-    s0 = rng.edge_exponentials((VIRTUAL_SOURCE_LABEL, "s"), tri.lam, 0, n)
+    s0 = exp_draws(rng, (VIRTUAL_SOURCE_LABEL, "s"), tri.lam, n)
     assert (batch.ages >= s0[:, None] - 1e-12).all()
 
 
@@ -75,7 +79,7 @@ def test_triangle_inequality_over_sampled_edges():
     batch = a.sample_ages(net, n, rng)
     for e in range(len(net.edge_rates) - 1):
         u, w = net.edge_tails[e], net.edge_heads[e]
-        s_uw = rng.edge_exponentials(net.edge_key(e), net.edge_rates[e], 0, n)
+        s_uw = exp_draws(rng, net.edge_key(e), net.edge_rates[e], n)
         assert (
             batch.ages[:, w] <= batch.ages[:, u] + s_uw + 1e-9
         ).all()
@@ -136,7 +140,7 @@ def test_empirical_cdf_erlang(two):
 def test_means_match_exact_everywhere():
     for seed in (0, 1):
         net = random_ssn(5, seed)
-        table = a.average_age_all(net)
+        table = average_age_all(net)
         batch = a.sample_ages(net, 300_000, a.RngPolicy(seed + 100))
         for v in range(net.n_user):
             est, se = a.estimate(batch, 1 << v, a.Functional.mean())
@@ -174,7 +178,7 @@ def test_relaxation_matches_heap_dijkstra():
     batch = a.sample_ages(net, n, rng)
     service = np.empty((len(net.edge_rates), n))
     for e, rate in enumerate(net.edge_rates):
-        service[e] = rng.edge_exponentials(net.edge_key(e), rate, 0, n)
+        service[e] = exp_draws(rng, net.edge_key(e), rate, n)
     for i in range(n):
         g = nx.DiGraph()
         for e, (u, v) in enumerate(zip(net.edge_tails, net.edge_heads)):
@@ -361,9 +365,21 @@ def test_determinism_property(seed, n):
     assert np.array_equal(b1.ages, b2.ages)
 
 
-def test_in_place_draws_match_the_formula():
+def test_in_place_draws_match_the_formula(monkeypatch):
+    # the rows _chunks fills in place, in its first chunk and at a later start
+    net = triangle(lam=0.7, mu_sv=1.7, mu_vd=2.3, mu_sd=0.4)
     rng = a.RngPolicy(25)
-    key = ("s", "d")
-    gen = np.random.Generator(rng.edge_bit_generator(key, skip=8))
-    want = -np.log1p(-gen.random(1000)) / 1.7
-    assert np.array_equal(rng.edge_exponentials(key, 1.7, 8, 1000), want)
+    seen = []
+
+    def keep(net, service):
+        seen.append(service.copy())
+        return _relax_distances(net, service)
+
+    monkeypatch.setattr(sampler, "_relax_distances", keep)
+    for _ in sampler._chunks(net, rng, CHUNK + 1000):
+        pass
+    assert [service.shape for service in seen] == [(4, CHUNK), (4, 1000)]
+    for start, service in zip((0, CHUNK), seen):
+        for e, rate in enumerate(net.edge_rates):
+            want = exp_draws(rng, net.edge_key(e), rate, service.shape[1], start)
+            assert np.array_equal(service[e], want)
