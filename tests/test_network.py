@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aoinet as a
-from aoinet import errors
+from aoinet import errors, exact
 from aoinet.network import VIRTUAL_SOURCE_LABEL, ancestor_network, bfs_order
 from conftest import build_net, net_json, random_ssn, serial, triangle, two_node
 
@@ -112,6 +112,21 @@ def test_theta_prime_indexing():
     assert net.edge_rates[-1] == net.lam
 
 
+def boundary_rate(net, mask):
+    """Rate sum into ``mask`` from outside it: lambda if it holds the source,
+    else the top entry of its cut plan."""
+    if mask >> net.source_index & 1:
+        return net.lam
+    return exact._cut_plan(net, mask)[-1][0]
+
+
+def test_singleton_boundaries_cover_total_rate():
+    for seed in range(5):
+        net = random_ssn(6, seed)
+        total = sum(boundary_rate(net, 1 << i) for i in range(net.n_user))
+        assert total == pytest.approx(net.total_rate)
+
+
 def test_validate_idempotent(tri):
     again = a.validate_ssn(tri.base)
     assert again.fingerprint == tri.fingerprint
@@ -141,6 +156,12 @@ def test_merge_invariance_sampled_means():
     e1, s1 = a.estimate(a.sample_ages(merged, n, a.RngPolicy(11)), d1, a.Functional.mean())
     e2, s2 = a.estimate(a.sample_ages(direct, n, a.RngPolicy(11)), d1, a.Functional.mean())
     assert abs(e1 - e2) < 4 * (s1**2 + s2**2) ** 0.5
+
+
+def test_boundary_positive_for_any_subset_without_virtual_source():
+    net = random_ssn(6, 42)
+    for mask in range(1, 1 << net.n_user):
+        assert boundary_rate(net, mask) > 0
 
 
 @settings(max_examples=30, deadline=None)
