@@ -184,6 +184,11 @@ def cmd_cdf(args):
             f"at most {MAX_GRID_POINTS} are allowed"
         )
     grid = np.arange(start, stop + step * 0.5, step)
+    if not (grid.size and np.all(grid[1:] > grid[:-1])):
+        raise AoiError(
+            f"bad --d-grid {args.d_grid!r}: its points are not distinct and "
+            "increasing at float spacing"
+        )
     if args.method == "inversion":
         values = exact_mod.cdf_grid(net, mask, grid)
         return [_row(name, "cdf-inversion", v, d=d) for v, d in zip(values, grid)]

@@ -1,24 +1,26 @@
 """Exact age computations via subset recursions on the augmented graph.
 
-Means come from the recursion over boundary cuts, split at dominators.  If
-every source path to every node of subset A passes node d, the distance to
-A is the distance to d plus the distance from d to A, over disjoint edges;
-so mean(A) = mean(d) + a mean walk from A based at d, over the in-edges of
-the nodes that reach A without passing d.  A walk costs time exponential
-in the nodes it touches, which the exact-engine limit bounds.  Every node's
-mean comes from one walk per dominator, as a dict keyed by singleton mask.
+Every query is split at dominators.  If every source path to every node
+of subset A passes node d, the distance to A is the distance to d plus the
+distance from d to A, over disjoint edges, and the two are independent.
+The region from A based at d holds the in-edges of the nodes that reach A
+without passing d; :func:`_path` lists the regions from the queried subset
+up to the source, one per dominator on the way.  A region's recursion over
+boundary cuts costs time exponential in its nodes, so the exact-engine
+limit, read from ``AOI_MAX_EXACT_NODES`` (default 20, hard cap 28) on every
+call, counts the nodes of the largest region, its base dominator included.
+
+A mean is the sum of one mean walk per region.  Every node's mean comes
+from one walk per dominator, as a dict keyed by singleton mask.
 
 Distributional quantities come from one cut plan per query: the supersets
-the recursion reaches from the queried subset, in dependency order, with
-their boundary rate sums and (rate, successor) terms.  The age is the time
-to absorption of the chain that leaves each entry at its rate sum and ends
-with an Exp(lambda) stage; CDF values uniformize it (Jensen 1953; Grassmann
-1977), and E[exp(s * age)] is one loop over the plan, which converges below
-the plan's smallest boundary sum.
-
-The exact-engine limit is read from ``AOI_MAX_EXACT_NODES`` (default 20,
-hard cap 28) on every call: means count the nodes of their largest walk,
-and the MGF, CDF and Chernoff entry points count the network's user nodes.
+each region's recursion reaches, in dependency order, with their boundary
+rate sums and (rate, successor) terms; a region's base is the start of the
+region above it.  The age is the time to absorption of the chain that
+leaves each entry at its rate sum and ends with an Exp(lambda) stage; CDF
+values uniformize it (Jensen 1953; Grassmann 1977), and E[exp(s * age)] is
+one loop over the plan, which converges below the plan's smallest boundary
+sum.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  Subsets are bitmasks over user-node indices; the virtual
@@ -47,7 +49,6 @@ from .network import (
 DEFAULT_MAX_EXACT_NODES = 20
 HARD_MAX_EXACT_NODES = 28
 MAX_NODES_ENV = "AOI_MAX_EXACT_NODES"
-_WALK_NODES = "nodes in one mean walk"
 MAX_JUMPS = 1 << 20  # uniformization jumps one cdf_grid call may take
 _CDF_TOL = 1e-15  # bound on each cdf_grid value's relative truncation error
 
@@ -64,7 +65,7 @@ class TailQuery:
     d: float
 
 
-def _check_size(nodes: int, what: str = "user nodes") -> None:
+def _check_size(nodes: int) -> None:
     """Refuse ``nodes`` above the limit that ``AOI_MAX_EXACT_NODES`` sets."""
     env = os.environ.get(MAX_NODES_ENV)
     try:
@@ -76,21 +77,9 @@ def _check_size(nodes: int, what: str = "user nodes") -> None:
     limit = min(limit, HARD_MAX_EXACT_NODES)
     if nodes > limit:
         raise NetworkTooLarge(
-            f"{nodes} {what} exceeds the exact-engine limit {limit} "
+            f"{nodes} nodes in one region exceeds the exact-engine limit {limit} "
             f"(override with {MAX_NODES_ENV} up to {HARD_MAX_EXACT_NODES})"
         )
-
-
-def _user_edges(net: AugmentedNetwork) -> list[tuple[int, int, float]]:
-    """(tail, head, rate) of the user edges, in edge order.
-
-    The virtual edge is left out: for a subset without the source it never
-    crosses into the subset, and a subset with the source is a base case.
-    """
-    return [
-        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
-        for e in range(len(net.edge_rates) - 1)
-    ]
 
 
 def _mean_walk(edges, base_bit: int, base_value: float):
@@ -160,55 +149,69 @@ def _meet(idom: list[int], rank: list[int], x: int, y: int) -> int:
     return x
 
 
-def _region_walk(net: AugmentedNetwork, into, nodes: list[int], d: int):
-    """The node count (``d`` included) and the mean walk from ``nodes``.
+def _region(net: AugmentedNetwork, into, nodes: list[int], d: int):
+    """The node count (``d`` included) and edges of the region from ``nodes``.
 
-    The walk is based at their dominator ``d``, over the in-edges of the
-    nodes that reach ``nodes`` without passing ``d``: never the source, so
-    never the virtual edge.  The base is 0, or 1/lambda at the source.
+    The edges are the in-edges of the nodes that reach ``nodes`` without
+    passing their dominator ``d``, as (tail, head, rate) in edge order:
+    never the source's, so never the virtual edge.
     """
     seen = reaching(net, into, nodes, stop=d)
     edges = [
         (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
         for e in sorted(e for v in seen for e in into[v])
     ]
-    base = 1.0 / net.lam if d == net.source_index else 0.0
-    return len(seen) + 1, _mean_walk(edges, 1 << d, base)
+    return len(seen) + 1, edges
 
 
-def average_age(net: AugmentedNetwork, a: int, *, _split=None) -> float:
-    """Exact E[age] of subset ``a``, split at its nearest common dominator.
+def _walk(net: AugmentedNetwork, edges, d: int):
+    """The mean walk over ``edges`` based at ``d``: 0, or 1/lambda at the source."""
+    return _mean_walk(edges, 1 << d, 1.0 / net.lam if d == net.source_index else 0.0)
 
-    d is the nearest node that strictly dominates every node of ``a``, and
-    mean(a) = mean(d) + the walk from ``a`` based at d, where mean(d) is
-    summed by a loop down the dominator path.  The size limit counts the
-    nodes of the largest walk, its base dominator included.
 
-    :func:`chain_average_ages` passes ``_split`` and asks for each node
-    after its dominator; the node then reads the walk it shares with its
-    siblings, which the size limit has already counted.
+def _path(net: AugmentedNetwork, a: int) -> list[tuple[int, list, int]]:
+    """``(start, edges, d)`` of each region from subset ``a`` up to the source.
+
+    The first region starts at ``a`` and is based at its nearest common
+    dominator d, the nearest node that strictly dominates every node of
+    ``a``; each next one starts at the last one's d.  A subset with the
+    source is one region without edges.  Refuses the query when the largest
+    region has more nodes than the size limit.
     """
     check_subset(net, a)
     src = net.source_index
     if a >> src & 1:
-        _check_size(1, _WALK_NODES)
-        return 1.0 / net.lam
-    if _split is not None:
-        return _split.node_mean(a.bit_length() - 1)
+        _check_size(1)
+        return [(a, [], src)]
     idom, rank = _idoms(net)
     nodes = [v for v in range(net.n_user) if a >> v & 1]
     d = idom[nodes[0]]
     for v in nodes[1:]:
         d = _meet(idom, rank, d, idom[v])
     into = in_edges(net)
-    walks = [(a, *_region_walk(net, into, nodes, d))]  # from a up to the source
+    path = [(a, *_region(net, into, nodes, d), d)]
     while d != src:
-        walks.append((1 << d, *_region_walk(net, into, [d], idom[d])))
+        path.append((1 << d, *_region(net, into, [d], idom[d]), idom[d]))
         d = idom[d]
-    _check_size(max(size for _, size, _ in walks), _WALK_NODES)
+    _check_size(max(size for _, size, _, _ in path))
+    return [(start, edges, d) for start, _, edges, d in path]
+
+
+def average_age(net: AugmentedNetwork, a: int, *, _split=None) -> float:
+    """Exact E[age] of subset ``a``: one mean walk per region of its path.
+
+    mean(a) = mean(d) + the walk from ``a`` based at d, its nearest common
+    dominator, and so on up the dominator path (:func:`_path`).
+
+    :func:`chain_average_ages` passes ``_split`` and asks for each node
+    after its dominator; the node then reads the walk it shares with its
+    siblings, which the size limit has already counted.
+    """
+    if _split is not None and not a >> net.source_index & 1:
+        return _split.node_mean(a.bit_length() - 1)
     mean = 0.0
-    for start, _, walk in reversed(walks):
-        mean += walk(start)
+    for start, edges, d in reversed(_path(net, a)):
+        mean += _walk(net, edges, d)(start)
     return mean
 
 
@@ -226,7 +229,8 @@ class _Split:
         for v in self.order[1:]:
             children.setdefault(self.idom[v], []).append(v)
         into = in_edges(net)
-        self.walks = {d: _region_walk(net, into, vs, d) for d, vs in children.items()}
+        regions = {d: _region(net, into, vs, d) for d, vs in children.items()}
+        self.walks = {d: (n, _walk(net, e, d)) for d, (n, e) in regions.items()}
         self.largest = max((size for size, _ in self.walks.values()), default=1)
         self.mean = [0.0] * net.n_user  # the source's 1/lambda is the base of its walk
 
@@ -246,27 +250,27 @@ def chain_average_ages(net: AugmentedNetwork) -> dict[int, float]:
     largest shared walk.
     """
     split = _Split(net)
-    _check_size(split.largest, _WALK_NODES)
+    _check_size(split.largest)
     return {1 << v: average_age(net, 1 << v, _split=split) for v in split.order}
 
 
 def _cut_plan(net: AugmentedNetwork, a: int) -> list[tuple[float, tuple]]:
-    """The MGF recursion from subset ``a``, compiled once.
+    """The MGF recursion from subset ``a``, compiled once along its path.
 
-    One entry per superset reachable from ``a`` without the source, in
-    dependency order (every successor before the subsets that cut to it,
-    ``a`` last): its boundary rate sum and its ``(rate, slot)`` terms, both
-    in edge order.  Entry i fills slot i + 1 of the value list that
-    :func:`_phi` builds; slot 0 holds the source base case.
+    The regions of :func:`_path` are compiled from the source down.  One
+    entry per superset a region reaches from its start, in dependency order
+    (every successor before the subsets that cut to it, ``a`` last): its
+    boundary rate sum and its ``(rate, slot)`` terms, both in edge order.
+    Entry i fills slot i + 1 of the value list that :func:`_phi` builds.  A
+    superset holding a region's base dominator takes the slot of the start
+    of the region above; at the source that is slot 0, the base case.
     """
-    src_bit = 1 << net.source_index
-    edges = _user_edges(net)
-    slots: dict[int, int] = {}
+    slots: dict[int, int] = {}  # no superset lies in two regions
     plan: list[tuple[float, tuple]] = []
 
-    def visit(mask: int) -> int:
-        if mask & src_bit:
-            return 0
+    def visit(mask: int) -> int:  # reads the current region's edges, d and base
+        if mask >> d & 1:
+            return base
         got = slots.get(mask)
         if got is not None:
             return got
@@ -280,7 +284,9 @@ def _cut_plan(net: AugmentedNetwork, a: int) -> list[tuple[float, tuple]]:
         slots[mask] = len(plan)
         return len(plan)
 
-    visit(a)
+    base = 0
+    for start, edges, d in reversed(_path(net, a)):
+        base = visit(start)
     return plan
 
 
@@ -305,16 +311,13 @@ def mgf_convergence_bound(net: AugmentedNetwork, a: int) -> float:
     Conservative bound: min of lambda and of the boundary rate sums of every
     subset reachable from ``a`` through the recursion.
     """
-    check_subset(net, a)
     return _bound(_cut_plan(net, a), net.lam)
 
 
 def mgf(net: AugmentedNetwork, q: MgfQuery) -> complex:
     """E[exp(s * age)] of the queried subset via the boundary-cut recursion."""
-    check_subset(net, q.subset)
-    _check_size(net.n_user)
-    s = complex(q.s)
     plan = _cut_plan(net, q.subset)
+    s = complex(q.s)
     bound = _bound(plan, net.lam)
     if s.real >= bound:
         raise OutsideConvergenceRegion(
@@ -383,12 +386,10 @@ def cdf_grid(net: AugmentedNetwork, a: int, grid) -> np.ndarray:
     a value under 1/2 is summed as sum(Pois * a), keeping the relative
     accuracy of tiny values; the others are 1 - sum(Pois * (1 - a)).
     """
-    check_subset(net, a)
-    _check_size(net.n_user)
+    plan = _cut_plan(net, a)
     d = np.asarray(grid, dtype=float).ravel()
     if not np.all(d >= 0.0):
         raise ValueError(f"thresholds d must be non-negative, got {d.min()}")
-    plan = _cut_plan(net, a)
     rate = max([net.lam] + [mu for mu, _ in plan])
     x = np.minimum(rate * d, np.finfo(float).max)  # Poisson means
     out = np.zeros(d.shape)  # age has a density, so Pr[age <= 0] = 0
@@ -416,12 +417,10 @@ def chernoff_bound(net: AugmentedNetwork, q: TailQuery) -> float:
     log-spaced grid followed by golden-section refinement finds the global
     optimum.  Clamped to 1 (the bound is vacuous for d at or below the mean).
     """
-    check_subset(net, q.subset)
-    _check_size(net.n_user)
+    plan = _cut_plan(net, q.subset)
     d = q.d
     if d < 0:
         raise ValueError(f"threshold d must be non-negative, got {d}")
-    plan = _cut_plan(net, q.subset)
     s_max = _bound(plan, net.lam) * (1.0 - 1e-6)
 
     def log_obj(s: float) -> float:

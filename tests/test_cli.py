@@ -446,6 +446,8 @@ def test_non_finite_rates_refused(capsys, tmp_path, text):
         ("cdf --node d --d-grid 0:inf:1", 1),
         ("cdf --node d --d-grid 0:1:1 --method sample --samples 0", 2),
         ("cdf --node d --d-grid 0:1e12:1e-9", 1),
+        ("cdf --node d --d-grid 1e16:1e16:1", 1),  # no point: 1e16 + 0.5 == 1e16
+        ("cdf --node d --d-grid 1e16:1.00000000000001e16:1", 1),  # repeated points
         ("simulate --events 3", 1),
         ("simulate --events 34", 1),  # 31 left after the 10% burn-in
         ("compare --node d --samples 10 --events 3", 1),
@@ -617,6 +619,33 @@ def test_long_chain_means_at_default_limit(capsys, tmp_path):
         assert rows[-1]["value"] == node["value"]
 
 
+def test_long_chain_distributions_at_default_limit(capsys, tmp_path):
+    # 100 triangles, 201 nodes: the cut plan chains one region per triangle
+    edges = []
+    for i in range(1, 101):
+        a, b, c = f"v{2 * i - 2}", f"v{2 * i - 1}", f"v{2 * i}"
+        edges += [(a, b, 1), (b, c, 1), (a, c, 1)]
+    path = tmp_path / "chain.json"
+    path.write_text(net_json(1.0, "v0", edges))
+
+    def values(*argv):
+        code, out, err = run_cli(capsys, argv[0], "--net", str(path), *argv[1:])
+        assert code == 0 and err == ""
+        return [r["value"] for r in rows_of(out)]
+
+    cdf = values("cdf", "--node", "v200", "--d-grid", "0:150:10")
+    assert len(cdf) == 16 and cdf[0] == 0.0
+    assert all(0.0 <= x <= y <= 1.0 for x, y in zip(cdf, cdf[1:]))
+    assert cdf[7] < 0.5 < cdf[8]  # the mean is 1 + 0.75 * 100 = 76
+    (tail,) = values("chernoff", "--node", "v200", "--d", "100")
+    assert 1.0 - cdf[10] <= tail < 1.0
+    # the age is Exp(1) plus 100 independent triangle crossings
+    (whole,) = values("mgf", "--node", "v200", "--s", "0.1")
+    (first,) = values("mgf", "--node", "v2", "--s", "0.1")
+    stage = 1.0 / (1.0 - 0.1)
+    assert whole == pytest.approx(stage * (first / stage) ** 100, rel=1e-12)
+
+
 def test_cascade_counts_the_nodes_of_a_long_two_path_block(
     capsys, tmp_path, monkeypatch
 ):
@@ -633,7 +662,7 @@ def test_cascade_counts_the_nodes_of_a_long_two_path_block(
     for command in (["cascade"], ["exact", "--all"], ["exact", "--node", "t"]):
         code, out, err = run_cli(capsys, command[0], "--net", str(path), *command[1:])
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "26 nodes in one mean walk" in err
+        assert err.startswith("error:") and "26 nodes in one region" in err
     monkeypatch.setenv("AOI_MAX_EXACT_NODES", "26")
     code, out, _ = run_cli(capsys, "cascade", "--net", str(path))
     assert code == 0

@@ -89,43 +89,62 @@ class TestAverageAge:
     def test_size_limit(self, monkeypatch):
         net = random_ssn(6, 1)
         src = 1 << net.source_index
-        # every non-source node: the walk from the source touches all 6
+        # every non-source node: the region from the source holds all 6
         rest = net.full_user_mask & ~src
         monkeypatch.setenv("AOI_MAX_EXACT_NODES", "5")
-        with pytest.raises(errors.NetworkTooLarge):
+        with pytest.raises(errors.NetworkTooLarge, match="6 nodes in one region"):
             a.average_age(net, rest)
-        assert a.average_age(net, src) == 1.0 / net.lam  # a 1-node walk
-        # the distribution entry points count every user node, whatever
-        # their plan reaches: the source's plan is empty
-        for mask in (rest, src):
-            with pytest.raises(errors.NetworkTooLarge):
-                a.mgf(net, a.MgfQuery(mask, 0.0))
-            with pytest.raises(errors.NetworkTooLarge):
-                a.cdf_grid(net, mask, [1.0])
-            with pytest.raises(errors.NetworkTooLarge):
-                a.chernoff_bound(net, a.TailQuery(mask, 1.0))
+        with pytest.raises(errors.NetworkTooLarge, match="6 nodes in one region"):
+            a.mgf(net, a.MgfQuery(rest, 0.0))
+        with pytest.raises(errors.NetworkTooLarge, match="6 nodes in one region"):
+            a.cdf_grid(net, rest, [1.0])
+        with pytest.raises(errors.NetworkTooLarge, match="6 nodes in one region"):
+            a.chernoff_bound(net, a.TailQuery(rest, 1.0))
+        # the source's region is the source alone
+        assert a.average_age(net, src) == 1.0 / net.lam
+        assert a.mgf(net, a.MgfQuery(src, 0.5)) == net.lam / (net.lam - 0.5)
+        assert a.cdf_grid(net, src, [1.0])[0] == pytest.approx(
+            -math.expm1(-net.lam), rel=1e-14
+        )
+        assert a.chernoff_bound(net, a.TailQuery(src, 0.0)) == 1.0
         monkeypatch.setenv("AOI_MAX_EXACT_NODES", "6")
         a.average_age(net, rest)
         assert a.mgf(net, a.MgfQuery(rest, 0.0)) == pytest.approx(1.0, abs=1e-15)
         assert a.cdf_grid(net, rest, [0.0])[0] == 0.0
+        assert 0.0 < a.chernoff_bound(net, a.TailQuery(rest, 20.0)) < 1.0
 
     def test_env_override(self, monkeypatch):
-        chain = serial(1.0, [1.0] * 20)  # 21 user nodes
+        def bypassed(n):  # v0 -> ... -> v{n-1}, plus v0 -> v{n-1}: one region
+            return build_net(
+                1.0, "v0", [(f"v{i}", f"v{i+1}", 1.0) for i in range(n - 1)]
+                + [("v0", f"v{n - 1}", 1.0)]
+            )
+
+        chain = bypassed(21)
         last = 1 << (chain.n_user - 1)
         monkeypatch.delenv("AOI_MAX_EXACT_NODES", raising=False)
-        with pytest.raises(errors.NetworkTooLarge, match="limit 20"):
-            a.mgf(chain, a.MgfQuery(last, 0.0))
-        with pytest.raises(errors.NetworkTooLarge, match="limit 20"):
-            a.cdf_grid(chain, last, [1.0])
+        for query in (
+            lambda: a.average_age(chain, last),
+            lambda: a.mgf(chain, a.MgfQuery(last, 0.0)),
+            lambda: a.cdf_grid(chain, last, [1.0]),
+            lambda: a.chernoff_bound(chain, a.TailQuery(last, 1.0)),
+        ):
+            with pytest.raises(errors.NetworkTooLarge, match="21 nodes.*limit 20"):
+                query()
+        # without the bypass, every region is one edge long
+        plain = serial(1.0, [1.0] * 20)
+        end = 1 << (plain.n_user - 1)
+        assert a.mgf(plain, a.MgfQuery(end, 0.0)) == pytest.approx(1.0, abs=1e-15)
+        a.cdf_grid(plain, end, [1.0])
         monkeypatch.setenv("AOI_MAX_EXACT_NODES", "21")
         assert a.mgf(chain, a.MgfQuery(last, 0.0)) == pytest.approx(1.0, abs=1e-15)
         a.cdf_grid(chain, last, [1.0])
         # the setting is capped at 28 nodes
-        longer = serial(1.0, [1.0] * 28)
+        longer = bypassed(29)
         monkeypatch.setenv("AOI_MAX_EXACT_NODES", "100")
-        with pytest.raises(errors.NetworkTooLarge, match="limit 28"):
+        with pytest.raises(errors.NetworkTooLarge, match="29 nodes.*limit 28"):
             a.mgf(longer, a.MgfQuery(1 << (longer.n_user - 1), 0.0))
-        with pytest.raises(errors.NetworkTooLarge, match="limit 28"):
+        with pytest.raises(errors.NetworkTooLarge, match="29 nodes.*limit 28"):
             a.cdf_grid(longer, 1 << (longer.n_user - 1), [1.0])
 
 
@@ -177,6 +196,15 @@ class TestMgf:
                 fm = a.mgf(net, a.MgfQuery(mask, -h)).real
                 deriv = (fp - fm) / (2 * h)
                 assert deriv == pytest.approx(table[mask], rel=1e-6)
+
+    def test_derivative_at_zero_is_mean_on_a_long_chain(self):
+        rng = np.random.default_rng(7)
+        net = triangle_chain(1.3, rng.uniform(0.5, 3.0, size=(100, 3)).tolist())
+        last = 1 << (net.n_user - 1)
+        h = 1e-6
+        fp = a.mgf(net, a.MgfQuery(last, h)).real
+        fm = a.mgf(net, a.MgfQuery(last, -h)).real
+        assert (fp - fm) / (2 * h) == pytest.approx(a.average_age(net, last), rel=1e-7)
 
 
 class TestConvergenceBound:
@@ -386,6 +414,58 @@ def oracle_mgf(net, a_mask, s):
     return rec(a_mask)
 
 
+def oracle_path_mgf(net, a_mask, s):
+    """The MGF recursion of :func:`oracle_mgf` split along the dominator path.
+
+    The recursion from ``a_mask`` runs over the in-edges of the nodes that
+    reach it without passing d, the nearest node that strictly dominates
+    every node of ``a_mask`` (found by brute force), and a subset holding d
+    takes d's own MGF: the distances before and after d are independent.
+    """
+    src = net.source_index
+    if a_mask >> src & 1:
+        return net.lam / (net.lam - s)
+    nodes = [v for v in range(net.n_user) if a_mask >> v & 1]
+    common = [
+        u for u in range(net.n_user)
+        if u not in nodes and not any(reaches(net, v, u) for v in nodes)
+    ]  # a chain: the nearest has the most dominators
+    d = max(common, key=lambda u: sum(not reaches(net, u, w) for w in common))
+    seen, stack = set(nodes), list(nodes)
+    while stack:
+        v = stack.pop()
+        for e in range(len(net.edge_rates) - 1):
+            u = net.edge_tails[e]
+            if net.edge_heads[e] == v and u != d and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    edges = [
+        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
+        for e in range(len(net.edge_rates) - 1)
+        if net.edge_heads[e] in seen
+    ]
+    base = oracle_path_mgf(net, 1 << d, s)
+    memo = {}
+
+    def rec(mask):
+        if mask >> d & 1:
+            return base
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        mu = 0.0
+        acc = 0.0 + 0.0j
+        for u, v, r in edges:
+            if mask >> v & 1 and not mask >> u & 1:
+                mu += r
+                acc += r * rec(mask | (1 << u))
+        val = acc / (mu - s)
+        memo[mask] = val
+        return val
+
+    return rec(a_mask)
+
+
 def oracle_bound(net, a_mask):
     """The depth-first convergence-bound walk the cut plan replaced."""
     src_bit = 1 << net.source_index
@@ -431,6 +511,8 @@ class TestCutPlan:
     """The compiled plan reproduces the recursion bit for bit."""
 
     def test_phi_matches_recursion_exactly(self, name):
+        # bit for bit against the recursion split along the dominator path,
+        # and to rounding against the whole-network recursion
         net = PLAN_NETS[name]()
         for mask in plan_targets(net):
             plan = exact._cut_plan(net, mask)
@@ -441,10 +523,13 @@ class TestCutPlan:
             points += [-3.0, 0.0, 0.5 * bound, bound * (1.0 - 1e-6)]
             points += list(np.geomspace(bound * 1e-8, bound * 0.999, 5))
             for s in points:
-                assert exact._phi(plan, net.lam, s) == oracle_mgf(net, mask, s)
+                got = exact._phi(plan, net.lam, s)
+                assert got == oracle_path_mgf(net, mask, s)
+                whole = oracle_mgf(net, mask, s)
+                assert abs(got - whole) <= 1e-15 * abs(whole)
             for s in (0.25j, -1.5 + 3j, 0.5 * bound):
                 got = a.mgf(net, a.MgfQuery(mask, s))
-                assert got == oracle_mgf(net, mask, complex(s))
+                assert got == oracle_path_mgf(net, mask, complex(s))
 
     def test_convergence_bound_matches_walk_exactly(self, name):
         net = PLAN_NETS[name]()
@@ -536,6 +621,34 @@ class TestCdfInversion:
             assert np.abs(got - want).max() < 1e-12
             assert np.all(np.diff(got) >= 0.0)
             assert 0.0 <= got.min() and got.max() <= 1.0
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            [(1.0, 2.5, 0.7), (3.0, 0.4, 1.6)],
+            [(0.5, 2.0, 1.0), (1.5, 1.5, 0.3), (2.2, 0.9, 4.0)],
+        ],
+        ids=["2", "3"],
+    )
+    def test_triangle_chain_matches_matrix_exponential(self, rates):
+        # v2, v4, ... dominate the rest: one plan chains a region per triangle
+        net = triangle_chain(0.8, rates)
+        grid = np.arange(0.0, 8.25, 0.5)
+        across = net.subset_mask(["v1", "v3"])  # on both sides of glue v2
+        for mask in [1 << v for v in range(net.n_user)] + [across]:
+            got = a.cdf_grid(net, mask, grid)
+            want = reached_set_cdf(net, mask, grid)
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_long_serial_chain_is_erlang(self):
+        from scipy.special import gammainc
+
+        chain = serial(1.0, [1.0] * 25)  # Exp(1) and 25 hops: Erlang(26, 1)
+        grid = np.arange(0.0, 60.5, 2.5)
+        got = a.cdf_grid(chain, 1 << (chain.n_user - 1), grid)
+        want = gammainc(26, grid)
+        assert np.abs(got - want).max() < 1e-14
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     def test_two_node_tiny_and_huge_thresholds(self, two):
         d = two.subset_mask(["d"])
