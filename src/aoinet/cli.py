@@ -299,7 +299,7 @@ def cmd_compare(args):
     seed = _seed_of(args)
 
     exact_val = exact_mod.average_age(net, mask)
-    # the simulator first: it refuses overflowing ages before the sampler squares them
+    # the simulator first, so that its change logs are freed before the sampler runs
     sim_val, sim_se = _simulated_mean(net, mask, args.events, seed)
     batch, sub_mask = sampler_mod.sample_subset(
         net, mask, args.samples, sampler_mod.RngPolicy(seed)
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sample", cmd_sample, help="Monte Carlo shortest-path sampling")
     p.add_argument("--samples", type=_SAMPLES, required=True)
     p.add_argument("--seed", type=_SEED)
-    p.add_argument("--workers", type=_COUNT, default=1)
+    p.add_argument("--workers", type=_COUNT, help="threads (default: usable CPUs)")
     p.add_argument("--dump-csv", metavar="FILE")
 
     p = add("simulate", cmd_simulate, help="discrete-event ground truth")

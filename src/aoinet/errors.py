@@ -62,7 +62,7 @@ class EmptyWindow(AoiError):
 
 
 class IntegralOverflow(AoiError):
-    """A window integral, batch mean or sample moment of ages is not finite."""
+    """A window integral, batch mean, sample moment or MGF of ages is not finite."""
 
 
 class IntegralUnderflow(AoiError):

@@ -30,6 +30,7 @@ recursions as explicit base cases).
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from array import array
@@ -37,7 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AoiError, NetworkTooLarge, OutsideConvergenceRegion, TooStiff
+from .errors import (
+    AoiError,
+    IntegralOverflow,
+    NetworkTooLarge,
+    OutsideConvergenceRegion,
+    TooStiff,
+)
 from .network import (
     AugmentedNetwork,
     bfs_order,
@@ -315,7 +322,12 @@ def mgf_convergence_bound(net: AugmentedNetwork, a: int) -> float:
 
 
 def mgf(net: AugmentedNetwork, q: MgfQuery) -> complex:
-    """E[exp(s * age)] of the queried subset via the boundary-cut recursion."""
+    """E[exp(s * age)] of the queried subset via the boundary-cut recursion.
+
+    Raises :class:`OutsideConvergenceRegion` when ``Re(s)`` is not below
+    :func:`mgf_convergence_bound`, and :class:`IntegralOverflow` when the
+    value is not finite there, as close below the bound of a long chain.
+    """
     plan = _cut_plan(net, q.subset)
     s = complex(q.s)
     bound = _bound(plan, net.lam)
@@ -323,7 +335,10 @@ def mgf(net: AugmentedNetwork, q: MgfQuery) -> complex:
         raise OutsideConvergenceRegion(
             f"Re(s)={s.real} is not below the convergence bound {bound}"
         )
-    return _phi(plan, net.lam, s)
+    value = _phi(plan, net.lam, s)
+    if not cmath.isfinite(value):
+        raise IntegralOverflow(f"the MGF at s={q.s} is not finite")
+    return value
 
 
 def _absorption(plan, lam: float, rate: float, x: float):

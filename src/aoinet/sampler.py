@@ -6,15 +6,18 @@ distance to a node is one sample of that node's stationary age, and the
 minimum over a subset samples the subset age.  A one-subset query
 (:func:`sample_subset`) samples only the nodes that reach the subset, and
 so draws only the edges into them, since no other edge lies on a path
-into it.
+into it; it keeps one value per replicate, the subset age, instead of one
+per node.
 
-Random streams are counter-based: the variate for (master_seed, replicate i,
-edge e) is the i-th draw of a Philox stream keyed by the master seed and a
-stable hash of the edge's endpoint labels.  This makes batches bit-identical
-regardless of worker count or iteration order, makes edge-addition
-experiments couple replicate-by-replicate (old edges keep their streams),
-and makes a one-subset query bit-identical to the same subset's minimum
-over a full batch: distances do not depend on which other edges are relaxed.
+Replicates run in fixed chunks of :data:`CHUNK`, spread over threads, by
+default one per CPU the process may run on.  Random streams are
+counter-based: the variate for (master_seed, replicate i, edge e) is the
+i-th draw of a Philox stream keyed by the master seed and a stable hash of
+the edge's endpoint labels.  This makes batches bit-identical regardless of
+worker count or iteration order, makes edge-addition experiments couple
+replicate-by-replicate (old edges keep their streams), and makes a
+one-subset query bit-identical to the same subset's minimum over a full
+batch: distances do not depend on which other edges are relaxed.
 
 Limitation: the sampled tuples reproduce only the marginal law of each fixed
 subset's age.  The true joint process has atoms where two connected nodes
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import sys
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -87,9 +91,9 @@ class RngPolicy:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """N i.i.d. sampled age vectors, one column per user node."""
+    """N i.i.d. sampled age vectors, one column per user node or one subset."""
 
-    ages: np.ndarray  # shape (n, |V|)
+    ages: np.ndarray  # shape (n, |V|), or (n, 1) for one subset
     n: int
 
 
@@ -181,13 +185,38 @@ def _relax_distances(net: AugmentedNetwork, service: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _chunks(
-    net: AugmentedNetwork, rng: RngPolicy, n: int, workers: int = 1
-) -> Iterator[tuple[int, np.ndarray]]:
-    """``(start, dist)`` for replicates ``0 .. n`` in fixed chunks, in order.
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or all of them where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    ``dist`` has shape (|V|, count).  Chunk boundaries do not depend on
-    ``workers``, which only spreads the chunks over threads.
+
+def _columns(n_user: int, a: int) -> list[int]:
+    """User columns of subset ``a``, refused if it is empty or names the source."""
+    if a == 0:
+        raise EmptySubset("subset must be non-empty")
+    if a >> n_user:
+        raise SubsetContainsVirtualSource(
+            "subset must not contain the virtual source"
+        )
+    return [i for i in range(n_user) if a >> i & 1]
+
+
+def _chunks(
+    net: AugmentedNetwork,
+    rng: RngPolicy,
+    n: int,
+    workers: int | None = None,
+    cols: list[int] | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, ages)`` for replicates ``0 .. n`` in fixed chunks, in order.
+
+    ``ages`` has shape (|V|, count), or (1, count) holding the minimum over
+    rows ``cols`` when they are given; a thread reduces its own chunk, so
+    only that row outlives it.  Chunk boundaries do not depend on
+    ``workers``, the number of threads, which defaults to the usable CPUs.
     """
 
     def run(start: int) -> tuple[int, np.ndarray]:
@@ -195,8 +224,13 @@ def _chunks(
         service = np.empty((len(net.edge_rates), count))
         for e, rate in enumerate(net.edge_rates):
             rng._fill_exponentials(net.edge_key(e), rate, start, service[e])
-        return start, _relax_distances(net, service)[: net.n_user]
+        dist = _relax_distances(net, service)
+        if cols is None:
+            return start, dist[: net.n_user]
+        return start, dist[cols].min(axis=0, keepdims=True)
 
+    if workers is None:
+        workers = _usable_cpus()
     starts = range(0, n, CHUNK)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -206,47 +240,52 @@ def _chunks(
 
 
 def sample_ages(
-    net: AugmentedNetwork, n: int, rng: RngPolicy, workers: int = 1
+    net: AugmentedNetwork,
+    n: int,
+    rng: RngPolicy,
+    workers: int | None = None,
+    subset: int | None = None,
 ) -> SampleBatch:
     """Draw ``n`` replicates of the per-node age vector.
 
     Each replicate takes at most |V| Bellman-Ford sweeps over the |E| edges,
     so O(n |V| |E|) overall; a sweep relaxes only the edges whose tail moved,
-    and the sweeps stop once no distance improves.  The
-    result is bit-identical for any ``workers`` value (replicate ranges are
-    fixed stream offsets).
+    and the sweeps stop once no distance improves.  Chunks of replicates run
+    on ``workers`` threads, by default one per usable CPU.  With ``subset``
+    the batch keeps only the age of that subset, in one column; mask ``1``
+    selects it.  The result is bit-identical for any ``workers`` value
+    (replicate ranges are fixed stream offsets, and a minimum is exact).
     """
     if n < 1:
         raise ValueError("replicate count must be >= 1")
-    ages = np.empty((n, net.n_user))
-    for start, dist in _chunks(net, rng, n, workers):
+    cols = None if subset is None else _columns(net.n_user, subset)
+    ages = np.empty((n, net.n_user if cols is None else 1))
+    for start, dist in _chunks(net, rng, n, workers, cols):
         ages[start : start + dist.shape[1]] = dist.T
     return SampleBatch(ages=ages, n=n)
 
 
 def sample_subset(
-    net: AugmentedNetwork, a: int, n: int, rng: RngPolicy
+    net: AugmentedNetwork, a: int, n: int, rng: RngPolicy, workers: int | None = None
 ) -> tuple[SampleBatch, int]:
-    """Draw ``n`` replicates over the nodes that reach subset ``a`` only.
+    """Draw ``n`` replicates of subset ``a``'s age over the nodes that reach it.
 
-    Returns the :func:`sample_ages` batch of
-    :func:`~aoinet.network.ancestor_network` of ``a``, and ``a``'s mask in
-    it.  Its edges keep their streams, so :func:`estimate` and
-    :func:`empirical_cdf` of that mask equal those of ``a`` over
-    :func:`sample_ages` of ``net`` bit for bit, with fewer draws.
+    Returns the one-column :func:`sample_ages` batch of
+    :func:`~aoinet.network.ancestor_network` of ``a`` streamed to ``a``'s
+    age, and its mask ``1``.  Its edges keep their streams, so
+    :func:`estimate` and :func:`empirical_cdf` of that mask equal those of
+    ``a`` over :func:`sample_ages` of ``net`` bit for bit, with fewer draws
+    and one value per replicate.
     """
     sub = ancestor_network(net, a)
-    return sample_ages(sub, n, rng), sub.subset_mask(net.subset_labels(a))
+    subset = sub.subset_mask(net.subset_labels(a))
+    return sample_ages(sub, n, rng, workers, subset=subset), 1
 
 
 def _subset_ages(batch: SampleBatch, a: int) -> np.ndarray:
-    if a == 0:
-        raise EmptySubset("subset must be non-empty")
-    if a >> batch.ages.shape[1]:
-        raise SubsetContainsVirtualSource(
-            "subset must not contain the virtual source"
-        )
-    cols = [i for i in range(batch.ages.shape[1]) if a >> i & 1]
+    cols = _columns(batch.ages.shape[1], a)
+    if batch.ages.shape[1] == 1:
+        return batch.ages[:, 0]  # a contiguous view, not a copy
     return batch.ages[:, cols].min(axis=1)
 
 

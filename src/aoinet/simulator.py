@@ -106,9 +106,11 @@ def _integrate(
     ``t_end``) with age ``t - births[i]``.  Returns the integral of the age,
     of its square, the time at or above each threshold, and the
     ``N_BATCHES`` batch means.  Raises :class:`IntegralOverflow` when any
-    of them is not finite, as with ages near the float range, and
-    :class:`IntegralUnderflow` when the age integral over a nonempty window
-    is below the smallest normal float.
+    of them but the integral of the square is not finite, as with ages near
+    the float range, and :class:`IntegralUnderflow` when the age integral
+    over a nonempty window is below the smallest normal float.  The integral
+    of the square, a sum of cubes, overflows from ages near 1e103; no report
+    reads it, so it is left non-finite there rather than refusing the run.
     """
     ends = np.append(starts[1:], t_end)
     s = np.maximum(starts, t0)
@@ -133,7 +135,7 @@ def _integrate(
             x2 = be[ok] - b[ok]
             width = bounds[j + 1] - bounds[j]
             batch_means[j] = np.sum(x2 * x2 - x1 * x1) / 2.0 / width
-    if not np.isfinite([integral, integral_sq, *occupancy, *batch_means]).all():
+    if not np.isfinite([integral, *occupancy, *batch_means]).all():
         raise IntegralOverflow("the age integrals over the kept window are not finite")
     if t_end > t0 and integral < sys.float_info.min:
         raise IntegralUnderflow("the age integral over the kept window underflows")

@@ -530,6 +530,64 @@ def test_tiny_ages_still_compared(capsys, tmp_path, target):
         )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--events", "1000"],
+        ["compare", "--node", "d", "--samples", "1000", "--events", "1000"],
+        ["compare", "--node", "{v,d}", "--samples", "1000", "--events", "1000"],
+        ["sample", "--samples", "1000"],
+    ],
+)
+def test_huge_ages_below_overflow_computed(capsys, tmp_path, argv):
+    # every age is near 1e105: its cube overflows, but no printed integral,
+    # mean or standard error does
+    path = tmp_path / "net.json"
+    path.write_text(_doc(1e-105, [1e-105] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, argv[0], "--net", str(path), *argv[1:], "--seed", "1"
+        )
+    assert code == 0, err
+    rows = rows_of(out)
+    assert rows and all(math.isfinite(r["value"]) for r in rows)
+    assert all(r["stderr"] is None or 0.0 < r["stderr"] < math.inf for r in rows)
+    if argv[0] == "compare":
+        assert rows[-1]["value"] == 1.0
+
+
+def _serial_chain(n_nodes):
+    return [(f"v{i}", f"v{i + 1}", 1) for i in range(n_nodes - 1)]
+
+
+def _triangle_chain(n_triangles):
+    edges = []
+    for i in range(1, n_triangles + 1):
+        a, b, c = f"v{2 * i - 2}", f"v{2 * i - 1}", f"v{2 * i}"
+        edges += [(a, b, 1), (b, c, 1), (a, c, 1)]
+    return edges
+
+
+@pytest.mark.parametrize(
+    "edges, node, s",
+    [
+        (_serial_chain(20), "v19", "0.9999999999999999"),  # overflows to inf
+        (_triangle_chain(1000), "v2000", "0.9"),  # inf times complex: nan
+    ],
+    ids=["serial-20", "triangles-1000"],
+)
+def test_non_finite_mgf_refused(capsys, tmp_path, edges, node, s):
+    path = tmp_path / "chain.json"
+    path.write_text(net_json(1.0, "v0", edges))
+    code, out, err = run_cli(
+        capsys, "mgf", "--net", str(path), "--node", node, "--s", s
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+
+
 def test_one_target_commands_match_the_full_batch(capsys, tmp_path):
     # compare and cdf --method sample draw only the target's ancestor edges,
     # and compare simulates only the target's ancestors; their rows equal the
@@ -570,6 +628,26 @@ def test_one_target_commands_match_the_full_batch(capsys, tmp_path):
         assert [r["value"] for r in rows_of(out)] == [
             a.empirical_cdf(batch, mask, d) for d in grid
         ]
+
+
+@pytest.mark.parametrize("target", ["v1", "v7", "{v6,v7}"])
+def test_cdf_sample_independent_of_cpu_count(capsys, monkeypatch, tmp_path, target):
+    # cdf --method sample runs on every usable CPU; their number moves no byte
+    net = random_ssn(8, 2024)
+    path = tmp_path / "r8.json"
+    edges = [(e.frm, e.to, e.rate) for e in net.base.edges]
+    path.write_text(net_json(net.lam, "v0", edges))
+    n = str(2 * a.sampler.CHUNK + 5)
+    outs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(a.sampler, "_usable_cpus", lambda: cpus)
+        code, out, _ = run_cli(
+            capsys, "cdf", "--net", str(path), "--node", target, "--d-grid",
+            "0:4:0.5", "--method", "sample", "--samples", n, "--seed", "3",
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 @pytest.mark.parametrize(

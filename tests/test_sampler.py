@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import warnings
 
 import networkx as nx
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import aoinet as a
 from aoinet import errors, sampler
-from aoinet.network import VIRTUAL_SOURCE_LABEL, ancestor_network, bfs_order
+from aoinet.network import VIRTUAL_SOURCE_LABEL, bfs_order
 from aoinet.sampler import CHUNK, _relax_distances
 from conftest import average_age_all, build_net, random_ssn, triangle, two_node
 
@@ -294,12 +296,63 @@ def test_pruned_sample_is_the_batch_column(target):
     batch = a.sample_ages(net, n, rng)
     sub, sub_mask = a.sample_subset(net, mask, n, rng)
     assert sub.n == n
-    assert sub.ages.shape[1] == ancestor_network(net, mask).n_user
+    assert sub.ages.shape == (n, 1) and sub_mask == 1
+    assert np.array_equal(sub.ages[:, 0], sampler._subset_ages(batch, mask))
     for f in (a.Functional.mean(), a.Functional.moment(2)):
         assert a.estimate(sub, sub_mask, f) == a.estimate(batch, mask, f)
     for d in (0.25, 1.0, 2.5, 4.0):
         pruned = a.empirical_cdf(sub, sub_mask, d)
         assert pruned == a.empirical_cdf(batch, mask, d)
+
+
+@pytest.mark.parametrize("target", [["v1"], ["v7"], ["v6", "v7"]], ids=str)
+def test_streamed_subset_independent_of_workers(target):
+    net = random_ssn(8, 2024)
+    mask = net.subset_mask(target)
+    n = 2 * CHUNK + 5
+    rng = a.RngPolicy(27)
+    base, base_mask = a.sample_subset(net, mask, n, rng, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, more of them than CPUs
+    try:
+        for workers in (2, 3):
+            other, other_mask = a.sample_subset(net, mask, n, rng, workers=workers)
+            assert other_mask == base_mask
+            assert np.array_equal(other.ages, base.ages)
+    finally:
+        sys.setswitchinterval(interval)
+    # a whole-network batch streamed to the subset is the same column
+    streamed = a.sample_ages(net, n, rng, workers=2, subset=mask)
+    assert np.array_equal(streamed.ages, base.ages)
+
+
+def test_workers_default_to_the_usable_cpus(monkeypatch, tri):
+    assert sampler._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert sampler._usable_cpus() == (os.cpu_count() or 1)
+    seen = []
+    real_pool = sampler.ThreadPoolExecutor
+
+    def pool(max_workers):
+        seen.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", pool)
+    batch = a.sample_ages(tri, CHUNK + 1, a.RngPolicy(28))
+    assert seen == [3]
+    assert np.array_equal(
+        batch.ages, a.sample_ages(tri, CHUNK + 1, a.RngPolicy(28), workers=1).ages
+    )
+
+
+def test_one_column_subset_ages_are_a_view(tri):
+    d = tri.subset_mask(["d"])
+    sub, sub_d = a.sample_subset(tri, d, 100, a.RngPolicy(29))
+    col = sampler._subset_ages(sub, sub_d)
+    assert col.base is sub.ages and col.flags.c_contiguous
+    with pytest.raises(errors.SubsetContainsVirtualSource):
+        sampler._subset_ages(sub, 0b10)
 
 
 def test_subset_sample_refuses_bad_input(tri):
@@ -376,7 +429,7 @@ def test_in_place_draws_match_the_formula(monkeypatch):
         return _relax_distances(net, service)
 
     monkeypatch.setattr(sampler, "_relax_distances", keep)
-    for _ in sampler._chunks(net, rng, CHUNK + 1000):
+    for _ in sampler._chunks(net, rng, CHUNK + 1000, workers=1):
         pass
     assert [service.shape for service in seen] == [(4, CHUNK), (4, 1000)]
     for start, service in zip((0, CHUNK), seen):

@@ -330,17 +330,19 @@ def test_thin_window_refuses_stderr(tri):
     a.subset_time_average(full, tri.subset_mask(["v", "d"]))
 
 
-@pytest.mark.parametrize("rate", [1e-300, 1e-110])
+@pytest.mark.parametrize("rate", [1e-300, 1e-155])
 def test_overflowing_integrals_raise(rate):
-    # ages near 1/rate: at 1e-110 their square fits a float, their cube not
+    # ages near 1/rate: at 1e-155 the integral of their square overflows
     net = triangle(rate, rate, rate, rate)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on the way
         with pytest.raises(errors.IntegralOverflow):
             run(net, 1000, 3)
-    res = run(triangle(1e-90, 1e-90, 1e-90, 1e-90), 1000, 3)
+        # at 1e-110 only the cube overflows, in the integral no report reads
+        res = run(triangle(1e-110, 1e-110, 1e-110, 1e-110), 1000, 3)
     assert math.isfinite(a.time_average_stderr(res, "d"))
-    assert a.time_average(res, "d") == pytest.approx(1.75e90, rel=0.5)
+    assert a.time_average(res, "d") == pytest.approx(1.75e110, rel=0.5)
+    assert not math.isfinite(res.integral_age_sq[res.node_index("d")])
 
 
 def test_underflowing_integrals_raise():
