@@ -266,7 +266,7 @@ def sample_ages(
 
 
 def sample_subset(
-    net: AugmentedNetwork, a: int, n: int, rng: RngPolicy, workers: int | None = None
+    net: AugmentedNetwork, a: int, n: int, rng: RngPolicy
 ) -> tuple[SampleBatch, int]:
     """Draw ``n`` replicates of subset ``a``'s age over the nodes that reach it.
 
@@ -279,7 +279,7 @@ def sample_subset(
     """
     sub = ancestor_network(net, a)
     subset = sub.subset_mask(net.subset_labels(a))
-    return sample_ages(sub, n, rng, workers, subset=subset), 1
+    return sample_ages(sub, n, rng, subset=subset), 1
 
 
 def _subset_ages(batch: SampleBatch, a: int) -> np.ndarray:

@@ -77,6 +77,8 @@ class SimResult:
     window_length: float
     events_used: int
     integral_age: np.ndarray  # (V,)
+    # integral of the squared age; inf from ages near 1e103, where its
+    # cubes overflow (no report reads it, so the run is not refused)
     integral_age_sq: np.ndarray  # (V,)
     occupancy: dict[float, np.ndarray]  # threshold -> (V,) time with age >= d
     batch_means: np.ndarray  # (N_BATCHES, V) per-batch time averages
@@ -110,7 +112,8 @@ def _integrate(
     the float range, and :class:`IntegralUnderflow` when the age integral
     over a nonempty window is below the smallest normal float.  The integral
     of the square, a sum of cubes, overflows from ages near 1e103; no report
-    reads it, so it is left non-finite there rather than refusing the run.
+    reads it, so it is set to inf there (never NaN) rather than refusing
+    the run.
     """
     ends = np.append(starts[1:], t_end)
     s = np.maximum(starts, t0)
@@ -121,6 +124,8 @@ def _integrate(
     a2 = e - b
     integral = np.sum(a2 * a2 - a1 * a1) / 2.0
     integral_sq = np.sum(a2 ** 3 - a1 ** 3) / 3.0
+    if not math.isfinite(integral_sq):
+        integral_sq = math.inf  # inf - inf makes NaN; the true value is > 0
     occupancy = [
         np.sum(np.maximum(0.0, e - np.maximum(s, b + d))) for d in thresholds
     ]

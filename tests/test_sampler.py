@@ -306,17 +306,19 @@ def test_pruned_sample_is_the_batch_column(target):
 
 
 @pytest.mark.parametrize("target", [["v1"], ["v7"], ["v6", "v7"]], ids=str)
-def test_streamed_subset_independent_of_workers(target):
+def test_streamed_subset_independent_of_workers(monkeypatch, target):
     net = random_ssn(8, 2024)
     mask = net.subset_mask(target)
     n = 2 * CHUNK + 5
     rng = a.RngPolicy(27)
-    base, base_mask = a.sample_subset(net, mask, n, rng, workers=1)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    base, base_mask = a.sample_subset(net, mask, n, rng)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, more of them than CPUs
     try:
         for workers in (2, 3):
-            other, other_mask = a.sample_subset(net, mask, n, rng, workers=workers)
+            monkeypatch.setattr(sampler, "_usable_cpus", lambda: workers)
+            other, other_mask = a.sample_subset(net, mask, n, rng)
             assert other_mask == base_mask
             assert np.array_equal(other.ages, base.ages)
     finally:

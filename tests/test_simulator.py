@@ -332,17 +332,19 @@ def test_thin_window_refuses_stderr(tri):
 
 @pytest.mark.parametrize("rate", [1e-300, 1e-155])
 def test_overflowing_integrals_raise(rate):
-    # ages near 1/rate: at 1e-155 the integral of their square overflows
+    # ages near 1/rate: at 1e-155 the age integral, a sum of squared ages,
+    # overflows
     net = triangle(rate, rate, rate, rate)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on the way
         with pytest.raises(errors.IntegralOverflow):
             run(net, 1000, 3)
-        # at 1e-110 only the cube overflows, in the integral no report reads
+        # at 1e-110 only the cubes overflow, in the integral of the squared
+        # age, which no report reads; it reads inf, never NaN
         res = run(triangle(1e-110, 1e-110, 1e-110, 1e-110), 1000, 3)
     assert math.isfinite(a.time_average_stderr(res, "d"))
     assert a.time_average(res, "d") == pytest.approx(1.75e110, rel=0.5)
-    assert not math.isfinite(res.integral_age_sq[res.node_index("d")])
+    assert res.integral_age_sq[res.node_index("d")] == math.inf
 
 
 def test_underflowing_integrals_raise():
