@@ -218,9 +218,7 @@ def cmd_sample(args):
     seed = _seed_of(args)
     # the dump is opened first, so that a bad path costs no sampling
     with _output(args.dump_csv) if args.dump_csv else contextlib.nullcontext() as fh:
-        batch = sampler_mod.sample_ages(
-            net, args.samples, sampler_mod.RngPolicy(seed), workers=args.workers
-        )
+        batch = sampler_mod.sample_ages(net, args.samples, sampler_mod.RngPolicy(seed))
         if fh is not None:
             writer = csv_mod.writer(fh)
             writer.writerow(net.node_names)
@@ -368,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sample", cmd_sample, help="Monte Carlo shortest-path sampling")
     p.add_argument("--samples", type=_SAMPLES, required=True)
     p.add_argument("--seed", type=_SEED)
-    p.add_argument("--workers", type=_COUNT, help="threads (default: usable CPUs)")
     p.add_argument("--dump-csv", metavar="FILE")
 
     p = add("simulate", cmd_simulate, help="discrete-event ground truth")

@@ -10,8 +10,10 @@ boundary cuts costs time exponential in its nodes, so the exact-engine
 limit, read from ``AOI_MAX_EXACT_NODES`` (default 20, hard cap 28) on every
 call, counts the nodes of the largest region, its base dominator included.
 
-A mean is the sum of one mean walk per region.  Every node's mean comes
-from one walk per dominator, as a dict keyed by singleton mask.
+A mean is the sum of one walk per region of its path.  One batched level
+pass (:func:`_walk_means`) walks every region of a query at once, and
+for the means of all nodes, every dominator's region at once; it is not
+a memoized walk per dominator, but it gives the same floats.
 
 Distributional quantities come from one cut plan per query: the supersets
 each region's recursion reaches, in dependency order, with their boundary
@@ -35,6 +37,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -58,6 +61,7 @@ HARD_MAX_EXACT_NODES = 28
 MAX_NODES_ENV = "AOI_MAX_EXACT_NODES"
 MAX_JUMPS = 1 << 20  # uniformization jumps one cdf_grid call may take
 _CDF_TOL = 1e-15  # bound on each cdf_grid value's relative truncation error
+_BLOCK = 1 << 16  # elements of one (superset x edge) temporary of _walk_means
 
 
 @dataclass(frozen=True)
@@ -89,32 +93,146 @@ def _check_size(nodes: int) -> None:
         )
 
 
-def _mean_walk(edges, base_bit: int, base_value: float):
-    """Memoized mean recursion over the supersets reachable through ``edges``.
+def _unique(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``x`` and the index of each entry among them.
 
-    Returns ``rec(mask)``: ``base_value`` for a mask holding ``base_bit``,
-    else (1 + sum of rate * rec(mask + tail)) / (sum of rate) over the edges
-    entering ``mask``, summed in edge order.
+    What ``np.unique(x, return_inverse=True)`` returns, in less time on the
+    levels of :func:`_walk_means`, small and large.
     """
-    memo: dict[int, float] = {}
+    order = x.argsort()
+    x = x[order]
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    inv = np.empty(x.size, dtype=np.int64)
+    inv[order] = new.cumsum() - 1
+    return x[new], inv
 
-    def rec(mask: int) -> float:
-        if mask & base_bit:
-            return base_value
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        mu = 0.0
-        acc = 0.0
-        for u, v, r in edges:
-            if mask >> v & 1 and not mask >> u & 1:
-                mu += r
-                acc += r * rec(mask | (1 << u))
-        val = (1.0 + acc) / mu
-        memo[mask] = val
-        return val
 
-    return rec
+def _walk_means(regions) -> list[float]:
+    """The mean walk from every start of every region, in one level pass.
+
+    ``regions`` lists ``(edges, d, base, starts)``: a region's edges as
+    (tail, head, rate) in edge order, its base dominator d, the value of a
+    superset that holds d, and its starts, each a tuple of the nodes of a
+    subset of the region.  A superset without d has value (1 + sum of rate *
+    value(mask + tail)) / (sum of rate) over the edges entering it.  Both
+    sums take one ``+`` per entering edge in edge order, as a memoized
+    recursion does, so the values are the same floats.  Returns one value
+    per start, in order.
+
+    A region's nodes get local bits, d bit 0, and a superset is the key
+    ``region << 32 | local mask``; the size limit keeps a region within 28
+    nodes.  Discovery goes up one popcount level at a time from the starts:
+    a level's cut edges (head in the mask, tail not) lead to the next level,
+    and each cut keeps its successor's slot there, or the slot of its
+    region's base.  The values then fill in from the top level down.  A
+    block of supersets keeps its cuts in one row per rank, so that the k-th
+    ``+`` of all of them is one add.
+    """
+    counts = [len(edges) for edges, _, _, _ in regions]
+    n_starts = [len(starts) for _, _, _, starts in regions]
+    bases = np.array([base for _, _, base, _ in regions], dtype=float)
+    out = bases.repeat(n_starts)
+    flat = [s for _, _, _, starts in regions for s in starts]
+    width = max(counts, default=0)
+    if not width:  # every start holds its base
+        return out.tolist()
+    n_reg = len(regions)
+    ds = np.array([d for _, d, _, _ in regions])
+    sreg = np.arange(n_reg).repeat(n_starts)
+    pop = np.fromiter(map(len, flat), np.int64, len(flat))
+    node = np.fromiter(chain.from_iterable(flat), np.int64, int(pop.sum()))
+    free = ~np.logical_or.reduceat(node == ds[sreg.repeat(pop)], pop.cumsum() - pop)
+    live = free.nonzero()[0]  # the starts without their base
+    if not live.size:
+        return out.tolist()
+    node, pop = node[free.repeat(pop)], pop[live]
+
+    # local bits: the rank of (region, (node - d) mod span) among the region's
+    rid = np.arange(n_reg).repeat(counts)
+    tails, heads, rates = zip(*[e for edges, _, _, _ in regions for e in edges])
+    span = 1 + max(max(tails), max(heads))
+    owner = np.concatenate([rid, rid, sreg[live].repeat(pop)])
+    code = owner * span + (np.concatenate([tails, heads, node]) - ds[owner]) % span
+    uniq, inv = _unique(code)
+    bit = np.left_shift(1, inv - np.searchsorted(uniq, owner * span))
+    n_e = rid.size
+    key = np.bitwise_or.reduceat(bit[2 * n_e :], pop.cumsum() - pop)
+    key |= sreg[live] << 32
+    # edge j of region r is cell r * width + j of the tables; cell pad has rate 0
+    pad = n_reg * width
+    cell = rid * width + np.arange(n_e) - (np.cumsum(counts) - counts).repeat(counts)
+    tbit, hbit = np.zeros(pad + 1, dtype=np.int64), np.zeros(pad + 1, dtype=np.int64)
+    rate = np.zeros(pad + 1)
+    tbit[cell], hbit[cell], rate[cell] = bit[:n_e], bit[n_e : 2 * n_e], rates
+    tbit2, hbit2 = tbit[:pad].reshape(n_reg, width), hbit[:pad].reshape(n_reg, width)
+
+    by_pop = pop.argsort(kind="stable")
+    key, live = key[by_pop], live[by_pop]
+    upto = np.bincount(pop).cumsum().tolist()  # starts up to each popcount
+    step = max(1, _BLOCK // width)
+    past = np.arange(n_reg, -1, -1)  # target -1 - r is base r; -1 - n_reg the pad's 0
+    levels = []  # per level: its size, its blocks, its starts and their slots
+    found: list[np.ndarray] = []  # the successors of the level below, per block
+    p, lo = int(pop[by_pop[0]]), 0
+    while True:
+        hi = upto[min(p, len(upto) - 1)]
+        keys, inv = _unique(np.concatenate(found + [key[lo:hi]]))
+        if levels:  # the level below: targets become slots of this level's values
+            n_found = inv.size - (hi - lo)
+            lut = np.concatenate([inv[:n_found], keys.size + past]).astype(np.int32)
+            for block in levels[-1][1]:
+                block[-1] = lut[block[-1]]
+        if not keys.size and hi == live.size:
+            break
+        blocks, found, seen = [], [], 0
+        for first in range(0, keys.size, step):
+            k = keys[first : first + step]
+            reg = k >> 32
+            rows = reg[:1] if reg[0] == reg[-1] else reg  # one region: broadcast
+            m = k[:, None]
+            cut = (m & hbit2[rows] != 0) & (m & tbit2[rows] == 0)
+            at = np.flatnonzero(cut)  # by superset, each in edge order
+            col = at // width
+            j = at - col * width
+            count = np.bincount(col, minlength=k.size)
+            rank = np.arange(col.size) - (count.cumsum() - count).repeat(count)
+            reg = reg[col]
+            e = reg * width + j
+            t = tbit[e]
+            inner = t != 1  # the successor does not hold d
+            succ, slot = _unique(k[col[inner]] | t[inner])
+            target = -1 - reg
+            target[inner] = seen + slot  # where it lies among the level's successors
+            seen += succ.size
+            found.append(succ)
+            # row i holds every superset's i-th cut; a pad adds rate 0 times 0
+            edge = np.empty((count.max(), k.size), dtype=np.int32)
+            targets = np.empty(edge.shape, dtype=np.int32)
+            edge.fill(pad)
+            targets.fill(-1 - n_reg)
+            edge[rank, col] = e
+            targets[rank, col] = target
+            blocks.append([first, edge, targets])
+        levels.append((keys.size, blocks, live[lo:hi], inv[inv.size - (hi - lo) :]))
+        found = [f for f in found if f.size]
+        p, lo = p + 1, hi
+
+    vals, bases = np.empty(0), np.append(bases, 0.0)
+    for size, blocks, here, slots in reversed(levels):
+        ext = np.concatenate([vals, bases])
+        vals = np.empty(size)
+        for first, edge, slot in blocks:
+            r = rate[edge]
+            terms = r * ext[slot]
+            mu, acc = r[0].copy(), terms[0].copy()  # 0.0 + x is x for x >= 0
+            for i in range(1, len(r)):
+                mu += r[i]
+                acc += terms[i]
+            vals[first : first + mu.size] = (1.0 + acc) / mu
+        out[here] = vals[slots]
+    return out.tolist()
 
 
 def _idoms(net: AugmentedNetwork) -> tuple[list[int], list[int]]:
@@ -171,9 +289,9 @@ def _region(net: AugmentedNetwork, into, nodes: list[int], d: int):
     return len(seen) + 1, edges
 
 
-def _walk(net: AugmentedNetwork, edges, d: int):
-    """The mean walk over ``edges`` based at ``d``: 0, or 1/lambda at the source."""
-    return _mean_walk(edges, 1 << d, 1.0 / net.lam if d == net.source_index else 0.0)
+def _base(net: AugmentedNetwork, d: int) -> float:
+    """The walk value of a superset that holds ``d``: 1/lambda at the source, else 0."""
+    return 1.0 / net.lam if d == net.source_index else 0.0
 
 
 def _path(net: AugmentedNetwork, a: int) -> list[tuple[int, list, int]]:
@@ -205,28 +323,38 @@ def _path(net: AugmentedNetwork, a: int) -> list[tuple[int, list, int]]:
 
 
 def average_age(net: AugmentedNetwork, a: int, *, _split=None) -> float:
-    """Exact E[age] of subset ``a``: one mean walk per region of its path.
+    """Exact E[age] of subset ``a``: one walk per region of its path.
 
     mean(a) = mean(d) + the walk from ``a`` based at d, its nearest common
-    dominator, and so on up the dominator path (:func:`_path`).
+    dominator, and so on up the dominator path (:func:`_path`).  The walks
+    of all regions are one :func:`_walk_means` pass.
 
     :func:`chain_average_ages` passes ``_split`` and asks for each node
-    after its dominator; the node then reads the walk it shares with its
-    siblings, which the size limit has already counted.
+    after its dominator; the node then reads the walk that the split has
+    already taken.
     """
     if _split is not None and not a >> net.source_index & 1:
         return _split.node_mean(a.bit_length() - 1)
+    path = _path(net, a)
+    starts = [tuple(v for v in range(net.n_user) if a >> v & 1)]
+    starts += [(d,) for _, _, d in path[:-1]]  # each next region starts at d
+    walks = _walk_means(
+        [(edges, d, _base(net, d), [s]) for (_, edges, d), s in zip(path, starts)]
+    )
     mean = 0.0
-    for start, edges, d in reversed(_path(net, a)):
-        mean += _walk(net, edges, d)(start)
+    for walk in reversed(walks):
+        mean += walk
     return mean
 
 
 class _Split:
-    """The dominator tree of a network with one mean walk per dominator.
+    """The dominator tree of a network and the walk from every node to its dominator.
 
-    The children of a dominator share its walk; each meets only its own
-    edges in it, so a child's mean equals :func:`average_age`'s.
+    The children of a dominator share its region, and each child's walk is
+    a start of that region; all regions are one :func:`_walk_means` pass.
+    A child meets only its own edges in the region, so its mean equals
+    :func:`average_age`'s.  Refuses the network when its largest region has
+    more nodes than the size limit.
     """
 
     def __init__(self, net: AugmentedNetwork):
@@ -237,27 +365,33 @@ class _Split:
             children.setdefault(self.idom[v], []).append(v)
         into = in_edges(net)
         regions = {d: _region(net, into, vs, d) for d, vs in children.items()}
-        self.walks = {d: (n, _walk(net, e, d)) for d, (n, e) in regions.items()}
-        self.largest = max((size for size, _ in self.walks.values()), default=1)
+        _check_size(max((size for size, _ in regions.values()), default=1))
+        walks = _walk_means(
+            [
+                (edges, d, _base(net, d), list(zip(children[d])))
+                for d, (_, edges) in regions.items()
+            ]
+        )
+        self.walk = [0.0] * net.n_user
+        for v, walk in zip((v for vs in children.values() for v in vs), walks):
+            self.walk[v] = walk
         self.mean = [0.0] * net.n_user  # the source's 1/lambda is the base of its walk
 
     def node_mean(self, v: int) -> float:
         """mean(idom v) + the walk from v; idom v's mean must be known."""
-        d = self.idom[v]
-        self.mean[v] = self.mean[d] + self.walks[d][1](1 << v)
+        self.mean[v] = self.mean[self.idom[v]] + self.walk[v]
         return self.mean[v]
 
 
 def chain_average_ages(net: AugmentedNetwork) -> dict[int, float]:
-    """Exact E[age] of every single node, one walk per dominator.
+    """Exact E[age] of every single node, one level pass for all dominators.
 
     Returns ``{1 << v: mean}`` over the user nodes v.  Each node is one
     :func:`average_age` query, in breadth-first order so that a dominator's
-    mean is known before its children's.  The size limit counts the
-    largest shared walk.
+    mean is known before its children's; :class:`_Split` has taken every
+    walk before the first.  The size limit counts the largest region.
     """
     split = _Split(net)
-    _check_size(split.largest)
     return {1 << v: average_age(net, 1 << v, _split=split) for v in split.order}
 
 

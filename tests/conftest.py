@@ -115,6 +115,44 @@ def average_age_all(net):
     return values
 
 
+def mean_walk(edges, base_bit: int, base_value: float):
+    """Memoized mean recursion over the supersets reachable through ``edges``.
+
+    The reference for ``exact._walk_means``: returns ``rec(mask)``,
+    ``base_value`` for a mask holding ``base_bit``, else (1 + sum of rate *
+    rec(mask + tail)) / (sum of rate) over the edges (tail, head, rate)
+    entering ``mask``, summed in edge order.
+    """
+    memo: dict[int, float] = {}
+
+    def rec(mask: int) -> float:
+        if mask & base_bit:
+            return base_value
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        mu = 0.0
+        acc = 0.0
+        for u, v, r in edges:
+            if mask >> v & 1 and not mask >> u & 1:
+                mu += r
+                acc += r * rec(mask | (1 << u))
+        val = (1.0 + acc) / mu
+        memo[mask] = val
+        return val
+
+    return rec
+
+
+def whole_walk(net):
+    """:func:`mean_walk` over every edge of ``net`` but the virtual one."""
+    edges = [
+        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
+        for e in range(len(net.edge_rates) - 1)
+    ]
+    return mean_walk(edges, 1 << net.source_index, 1.0 / net.lam)
+
+
 # filled by the acceptance suite; echoed after the test summary so the
 # one-line-per-criterion record survives output capture
 acceptance_lines = []

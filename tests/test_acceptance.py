@@ -11,6 +11,7 @@ import time
 import conftest
 
 import aoinet as a
+from aoinet import sampler
 from aoinet.cli import main as cli_main
 from conftest import (
     average_age_all,
@@ -195,7 +196,7 @@ def test_criterion_09_n_triangle_scaling():
     )
 
 
-def test_criterion_10_reproducibility(tmp_path, capsys):
+def test_criterion_10_reproducibility(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tri.json"
     path.write_text(
         net_json(1.0, "s", [("s", "v", 1), ("v", "d", 1), ("s", "d", 1)])
@@ -207,11 +208,15 @@ def test_criterion_10_reproducibility(tmp_path, capsys):
         assert code == 0
         return out
 
-    s_args = ("sample", "--net", str(path), "--samples", "50000", "--seed", "99")
+    # three chunks, so that two or three threads each take one
+    samples = str(2 * sampler.CHUNK + 5)
+    s_args = ("sample", "--net", str(path), "--samples", samples, "--seed", "99")
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
     base = run(*s_args)
     ok = base == run(*s_args)
-    ok &= base == run(*s_args, "--workers", "4")
-    ok &= base == run(*s_args, "--workers", "7")
+    for cpus in (2, 3):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+        ok &= base == run(*s_args)
     sim_args = ("simulate", "--net", str(path), "--events", "50000", "--seed", "99")
     ok &= run(*sim_args) == run(*sim_args)
-    report(10, "byte-identical output across runs and worker counts", ok)
+    report(10, "byte-identical output across runs and 1, 2 and 3 threads", ok)

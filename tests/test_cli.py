@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import aoinet as a
+from aoinet import sampler
 from aoinet.cli import main
 from conftest import net_json, random_ssn
 
@@ -242,23 +243,15 @@ def test_sample_auto_seed_reported(capsys, tri_file):
     assert int(seeds.pop()) >= 0
 
 
-def test_sample_workers_do_not_change_output(capsys, tri_file):
-    base = run_cli(
-        capsys, "sample", "--net", tri_file, "--samples", "4001", "--seed", "9"
-    )[1]
-    multi = run_cli(
-        capsys,
-        "sample",
-        "--net",
-        tri_file,
-        "--samples",
-        "4001",
-        "--seed",
-        "9",
-        "--workers",
-        "4",
-    )[1]
-    assert base == multi
+def test_sample_workers_do_not_change_output(capsys, monkeypatch, tri_file):
+    # three chunks, so that two or three threads each take one
+    argv = ["sample", "--net", tri_file, "--samples", str(2 * sampler.CHUNK + 5)]
+    argv += ["--seed", "9"]
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    base = run_cli(capsys, *argv)[1]
+    for cpus in (2, 3):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+        assert run_cli(capsys, *argv)[1] == base
 
 
 def test_sample_dump_csv(capsys, tri_file, tmp_path):
@@ -424,7 +417,7 @@ def test_non_finite_rates_refused(capsys, tmp_path, text):
     [
         ("sample --samples 0", 2),
         ("sample --samples 1", 2),  # its stderr would be infinite
-        ("sample --samples 10 --workers 0", 2),
+        ("sample --samples 10 --workers 4", 2),  # the usable CPUs decide
         ("sample --samples 10 --seed -1", 2),
         (f"sample --samples 10 --seed {1 << 64}", 2),
         ("simulate --events 0", 2),

@@ -15,6 +15,7 @@ from conftest import (
     triangle,
     triangle_chain,
     two_node,
+    whole_walk,
 )
 
 
@@ -233,11 +234,7 @@ class TestConvergenceBound:
 
 def oracle_mean(net, a_mask):
     """The whole-network mean walk the dominator split replaced."""
-    edges = [
-        (net.edge_tails[e], net.edge_heads[e], net.edge_rates[e])
-        for e in range(len(net.edge_rates) - 1)
-    ]
-    return exact._mean_walk(edges, 1 << net.source_index, 1.0 / net.lam)(a_mask)
+    return whole_walk(net)(a_mask)
 
 
 def star_of_blocks():
