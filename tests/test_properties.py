@@ -42,16 +42,13 @@ def block_trees(draw):
     return build_net(draw(st.floats(0.5, 2.0)), "v0", edges)
 
 
-def subsets(net):
-    return st.lists(st.integers(1, (1 << net.n_user) - 1), min_size=1, max_size=6)
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_average_age_equals_the_recursion(data):
     net = data.draw(block_trees())
     walk = whole_walk(net)
-    for mask in data.draw(subsets(net)):
+    masks = st.lists(st.integers(1, (1 << net.n_user) - 1), min_size=1, max_size=6)
+    for mask in data.draw(masks):
         got, want = a.average_age(net, mask), walk(mask)
         if len(exact._path(net, mask)) == 1:  # only the source dominates
             assert got == want
