@@ -216,7 +216,6 @@ def _walk_means(regions) -> list[float]:
             targets[rank, col] = target
             blocks.append([first, edge, targets])
         levels.append((keys.size, blocks, live[lo:hi], inv[inv.size - (hi - lo) :]))
-        found = [f for f in found if f.size]
         p, lo = p + 1, hi
 
     vals, bases = np.empty(0), np.append(bases, 0.0)
