@@ -5,6 +5,10 @@ report row per result as JSON lines (default) or CSV.  Every randomized
 subcommand either takes an explicit --seed or reports the seed it chose, so
 published numbers are reproducible.  Exit codes: 0 success, 1 validation or
 model errors, 2 usage errors.
+
+:func:`main` may be called repeatedly in one process; it builds its parser
+once and reuses it, and writes to the ``sys.stdout`` and ``sys.stderr`` of
+each call.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv as csv_mod
+import functools
 import io
 import json
 import math
@@ -27,6 +32,7 @@ from .errors import AoiError, MalformedNetwork
 from .network import parse_network, validate_ssn
 
 MAX_GRID_POINTS = 100_000  # largest --d-grid a cdf run will evaluate
+_JSONL = json.JSONEncoder(sort_keys=True)  # what json.dumps(r, sort_keys=True) uses
 
 
 def _load_network(path: str):
@@ -120,7 +126,7 @@ def _emit(rows, fmt: str, out) -> None:
             writer.writerow([r["target"], r["method"], repr(r["value"]), stderr, meta])
     else:
         for r in rows:
-            out.write(json.dumps(r, sort_keys=True) + "\n")
+            out.write(_JSONL.encode(r) + "\n")
 
 
 def _seed_of(args) -> int:
@@ -324,6 +330,7 @@ def cmd_compare(args):
     ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aoinet",

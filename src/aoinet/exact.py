@@ -430,11 +430,17 @@ def _cut_plan(net: AugmentedNetwork, a: int) -> list[tuple[float, tuple]]:
     return plan
 
 
-def _phi(plan, lam: float, s) -> complex:
-    """E[exp(s * age)] of the plan's subset; ``Re(s)`` must be below its bound."""
+def _phi(plan, lam: float, s):
+    """E[exp(s * age)] of the plan's subset; ``Re(s)`` must be below its bound.
+
+    Each accumulator starts at a real 0.0, so a real ``s`` stays in float
+    arithmetic, where an overflowed value is inf rather than complex NaN; a
+    complex ``s`` gives the same floats as a complex zero start.  ``s`` may
+    be a float array, evaluated pointwise with the same operations.
+    """
     vals = [lam / (lam - s)]
     for mu, terms in plan:
-        acc = 0.0 + 0.0j
+        acc = 0.0
         for r, j in terms:
             acc += r * vals[j]
         vals.append(acc / (mu - s))
@@ -563,7 +569,9 @@ def chernoff_bound(net: AugmentedNetwork, q: TailQuery) -> float:
 
     log E[e^{s age}] - s d is convex on the convergence interval, so a coarse
     log-spaced grid followed by golden-section refinement finds the global
-    optimum.  Clamped to 1 (the bound is vacuous for d at or below the mean).
+    optimum.  The 64-point grid is one :func:`_phi` pass over a float array;
+    where E[e^{s age}] overflows it is inf, and such a point is never picked.
+    Clamped to 1 (the bound is vacuous for d at or below the mean).
     """
     plan = _cut_plan(net, q.subset)
     d = q.d
@@ -572,10 +580,13 @@ def chernoff_bound(net: AugmentedNetwork, q: TailQuery) -> float:
     s_max = _bound(plan, net.lam) * (1.0 - 1e-6)
 
     def log_obj(s: float) -> float:
-        return math.log(_phi(plan, net.lam, s).real) - s * d
+        return math.log(_phi(plan, net.lam, s)) - s * d
 
     grid = np.geomspace(s_max * 1e-8, s_max, 64)
-    vals = [log_obj(s) for s in grid]
+    with np.errstate(over="ignore"):
+        phis = _phi(plan, net.lam, grid).tolist()
+    grid = grid.tolist()
+    vals = [math.log(p) - s * d for p, s in zip(phis, grid)]
     k = int(np.argmin(vals))
     lo = grid[k - 1] if k > 0 else 0.0
     hi = grid[k + 1] if k < len(grid) - 1 else s_max

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from aoinet import parse_network, validate_ssn
+from aoinet import exact, parse_network, validate_ssn
 
 
 def net_json(lam, source, edges, nodes=None):
@@ -151,6 +152,56 @@ def whole_walk(net):
         for e in range(len(net.edge_rates) - 1)
     ]
     return mean_walk(edges, 1 << net.source_index, 1.0 / net.lam)
+
+
+def scalar_phi(plan, lam, s):
+    """E[exp(s * age)] from a cut plan, accumulated in complex arithmetic."""
+    vals = [lam / (lam - s)]
+    for mu, terms in plan:
+        acc = 0.0 + 0.0j
+        for r, j in terms:
+            acc += r * vals[j]
+        vals.append(acc / (mu - s))
+    return vals[-1]
+
+
+def chernoff_scan(net, q):
+    """The Chernoff bound by a scan of scalar :func:`scalar_phi` calls.
+
+    The reference for ``exact.chernoff_bound``'s one array pass: the same
+    64-point geomspace scan and golden section, each point in complex
+    arithmetic.  Where phi overflows on the grid the complex value is NaN
+    and ``np.argmin`` picks the first NaN, so it agrees only where phi is
+    finite on the whole grid.
+    """
+    plan = exact._cut_plan(net, q.subset)
+    d = q.d
+    s_max = exact._bound(plan, net.lam) * (1.0 - 1e-6)
+
+    def log_obj(s):
+        return math.log(scalar_phi(plan, net.lam, s).real) - s * d
+
+    grid = np.geomspace(s_max * 1e-8, s_max, 64)
+    vals = [log_obj(s) for s in grid]
+    k = int(np.argmin(vals))
+    lo = grid[k - 1] if k > 0 else 0.0
+    hi = grid[k + 1] if k < len(grid) - 1 else s_max
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = log_obj(x1), log_obj(x2)
+    while hi - lo > 1e-9 * s_max:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = log_obj(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = log_obj(x2)
+    best = min(min(vals), f1, f2)
+    return min(1.0, math.exp(best))
 
 
 # filled by the acceptance suite; echoed after the test summary so the

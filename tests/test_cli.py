@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import aoinet as a
-from aoinet import sampler
+from aoinet import cli, sampler
 from aoinet.cli import main
 from conftest import net_json, random_ssn
 
@@ -49,6 +50,26 @@ def run_cli(capsys, *argv):
 
 def rows_of(out):
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+# what the console script ``aoinet`` runs
+CLI_CODE = "import sys; from aoinet.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_fresh(argv, code=CLI_CODE, text=True):
+    """``code`` run with ``argv`` in a fresh interpreter on this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=text,
+        env=env,
+        timeout=120,
+    )
 
 
 def test_exact_single_node(capsys, tri_file):
@@ -224,6 +245,56 @@ def test_chernoff(capsys, tri_file):
     assert code == 0
     (row,) = rows_of(out)
     assert 0.0 < row["value"] <= 1.0
+
+
+def test_chernoff_where_phi_overflows_is_quiet(tmp_path):
+    # Erlang(300, 1): phi overflows on the top of the scan grid; the bound is
+    # the optimum at s = 1 - 300 / d, with nothing on stderr
+    path = tmp_path / "serial.json"
+    edges = [(f"v{i}", f"v{i + 1}", 1) for i in range(299)]
+    path.write_text(net_json(1.0, "v0", edges))
+    proc = run_fresh(["chernoff", "--net", str(path), "--node", "v299", "--d", "600"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    (row,) = rows_of(proc.stdout)
+    optimum = math.exp(-300.0 + 300.0 * math.log(2.0))  # at s = 1/2
+    assert row["value"] == pytest.approx(optimum, rel=1e-12)
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, tri_file, monkeypatch):
+    builds, build = [], cli.build_parser.__wrapped__
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", functools.cache(counted))
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    cdf = ["--format", "csv", "cdf", "--net", tri_file, "--node", "d", "--d-grid"]
+    calls = [
+        (["chernoff", "--net", tri_file, "--node", "d", "--d", "-1"], 2),
+        (["mgf", "--net", tri_file, "--node", "d", "--s", "5"], 1),
+        (cdf + ["0:2"], 1),
+        (cdf + ["0:2:0.5"], 0),
+        (["chernoff", "--net", tri_file, "--node", "d", "--d", "4"], 0),
+    ]
+    for argv, want in calls:
+        code = main(argv)
+        got = capsys.readouterr()
+        proc = run_fresh(argv, text=False)  # bytes: csv ends its rows with \r\n
+        assert code == proc.returncode == want
+        assert (got.out.encode(), got.err.encode()) == (proc.stdout, proc.stderr)
+        assert got.out or got.err
+    assert len(builds) == 1
+
+
+def test_jsonl_rows_are_json_dumps_with_sorted_keys():
+    rows = [
+        cli._row("v\u00e9", "m", math.inf, None, d=0.5),
+        cli._row("{a,b}", "m", 0.1, 1e-300, n=3, seed=7),
+    ]
+    buf = io.StringIO()
+    cli._emit(rows, "jsonl", buf)
+    assert buf.getvalue() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
 
 
 def test_sample_deterministic_and_seed_reported(capsys, tri_file):
@@ -804,17 +875,6 @@ def test_cheap_commands_skip_scipy_and_networkx(tri_file, argv):
         "& {'scipy', 'networkx'})); "
         "sys.exit(rc)"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv[:1], "--net", tri_file, *argv[1:]],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = run_fresh([*argv[:1], "--net", tri_file, *argv[1:]], code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -10,7 +10,9 @@ from aoinet.sampler import _chunks
 from conftest import (
     average_age_all,
     build_net,
+    chernoff_scan,
     random_ssn,
+    scalar_phi,
     serial,
     triangle,
     triangle_chain,
@@ -528,6 +530,28 @@ class TestCutPlan:
                 got = a.mgf(net, a.MgfQuery(mask, s))
                 assert got == oracle_path_mgf(net, mask, complex(s))
 
+    def test_array_phi_matches_scalar_exactly(self, name):
+        # the Chernoff scan's grid in one pass, against one float s and one
+        # complex-accumulated s at a time
+        net = PLAN_NETS[name]()
+        for mask in plan_targets(net):
+            plan = exact._cut_plan(net, mask)
+            s_max = exact._bound(plan, net.lam) * (1.0 - 1e-6)
+            grid = np.geomspace(s_max * 1e-8, s_max, 64)
+            got = exact._phi(plan, net.lam, grid)
+            assert got.dtype == np.float64 and got.shape == grid.shape
+            for value, s in zip(got.tolist(), grid.tolist()):
+                assert math.isfinite(value)
+                assert value == exact._phi(plan, net.lam, s)
+                assert value == scalar_phi(plan, net.lam, s).real
+
+    def test_chernoff_matches_scalar_scan_exactly(self, name):
+        net = PLAN_NETS[name]()
+        for mask in plan_targets(net):
+            for d in (0.0, 0.5, 2.0, 4.0, 40.0):
+                q = a.TailQuery(mask, d)
+                assert a.chernoff_bound(net, q) == chernoff_scan(net, q)
+
     def test_convergence_bound_matches_walk_exactly(self, name):
         net = PLAN_NETS[name]()
         for mask in plan_targets(net) + [1 << net.source_index]:
@@ -711,6 +735,20 @@ class TestChernoff:
                 cb = a.chernoff_bound(net, a.TailQuery(mask, x))
                 tail = 1.0 - a.cdf_grid(net, mask, [x])[0]
                 assert cb >= tail - 1e-6
+
+
+    def test_optimum_found_where_phi_overflows_on_the_grid(self):
+        # Erlang(300, 1): phi = (1 - s)^-300 overflows on the top of the scan
+        # grid, and the optimum s = 1 - 300 / d lies below it
+        net = serial(1.0, [1.0] * 299)
+        last = 1 << 299
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (400.0, 600.0, 900.0):
+                s = 1.0 - 300.0 / d
+                optimum = math.exp(-s * d - 300.0 * math.log1p(-s))
+                got = a.chernoff_bound(net, a.TailQuery(last, d))
+                assert got == pytest.approx(optimum, rel=1e-12)
 
 
 class TestStructuralProperties:
