@@ -21,7 +21,6 @@ from .exact import (
     chain_average_ages,
     chernoff_bound,
     mgf,
-    mgf_convergence_bound,
 )
 from .network import (
     AugmentedNetwork,
@@ -42,7 +41,6 @@ from .sampler import (
 from .simulator import (
     SimConfig,
     SimResult,
-    equal_age_fraction,
     simulate,
     subset_time_average,
     time_average,
@@ -69,10 +67,8 @@ __all__ = [
     "chain_average_ages",
     "chernoff_bound",
     "empirical_cdf",
-    "equal_age_fraction",
     "estimate",
     "mgf",
-    "mgf_convergence_bound",
     "parse_network",
     "sample_ages",
     "sample_subset",

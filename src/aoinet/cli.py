@@ -144,7 +144,7 @@ def cmd_validate(args):
             net.total_rate,
             nodes=net.n_user,
             edges=len(net.edge_rates) - 1,
-            source=net.base.source,
+            source=net.node_names[net.source_index],
             fingerprint=net.fingerprint,
         )
     ]

@@ -448,24 +448,21 @@ def _phi(plan, lam: float, s):
 
 
 def _bound(plan, lam: float) -> float:
-    return min([lam] + [mu for mu, _ in plan])
-
-
-def mgf_convergence_bound(net: AugmentedNetwork, a: int) -> float:
-    """Largest real s below which the MGF recursion stays well posed.
+    """Largest real s below which the plan's MGF recursion stays well posed.
 
     Conservative bound: min of lambda and of the boundary rate sums of every
-    subset reachable from ``a`` through the recursion.
+    subset in the plan.
     """
-    return _bound(_cut_plan(net, a), net.lam)
+    return min([lam] + [mu for mu, _ in plan])
 
 
 def mgf(net: AugmentedNetwork, q: MgfQuery) -> complex:
     """E[exp(s * age)] of the queried subset via the boundary-cut recursion.
 
     Raises :class:`OutsideConvergenceRegion` when ``Re(s)`` is not below
-    :func:`mgf_convergence_bound`, and :class:`IntegralOverflow` when the
-    value is not finite there, as close below the bound of a long chain.
+    the plan's convergence bound (:func:`_bound`), and
+    :class:`IntegralOverflow` when the value is not finite there, as close
+    below the bound of a long chain.
     """
     plan = _cut_plan(net, q.subset)
     s = complex(q.s)

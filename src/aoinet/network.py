@@ -68,7 +68,6 @@ class AugmentedNetwork:
     Immutable; safe for concurrent read-only use by all engines.
     """
 
-    base: NetworkSpec
     node_names: tuple[str, ...]  # user nodes, index order
     source_index: int
     lam: float
@@ -77,7 +76,6 @@ class AugmentedNetwork:
     edge_heads: tuple[int, ...]
     edge_rates: tuple[float, ...]
     total_rate: float
-    fingerprint: str
     index_of: dict[str, int] = field(repr=False)
 
     @property
@@ -93,8 +91,31 @@ class AugmentedNetwork:
         return self.n_user
 
     @property
-    def full_user_mask(self) -> int:
-        return (1 << self.n_user) - 1
+    def base(self) -> NetworkSpec:
+        """The user network, parallel edges merged, without the virtual edge."""
+        return NetworkSpec(
+            self.node_names,
+            tuple(
+                EdgeSpec(*self.edge_key(e), self.edge_rates[e])
+                for e in range(len(self.edge_rates) - 1)  # the virtual edge is last
+            ),
+            self.node_names[self.source_index],
+            self.lam,
+        )
+
+    @property
+    def fingerprint(self) -> str:
+        """Short hash of :attr:`base` that does not depend on its edge order."""
+        base = self.base
+        canonical = {
+            "lambda": base.lam,
+            "source": base.source,
+            "nodes": list(base.nodes),
+            "edges": sorted([e.frm, e.to, e.rate] for e in base.edges),
+        }
+        return hashlib.sha256(
+            json.dumps(canonical, sort_keys=True).encode()
+        ).hexdigest()[:16]
 
     def label(self, index: int) -> str:
         if index == self.theta_prime_index:
@@ -195,13 +216,16 @@ def _check_rate(rate: float, what: str) -> float:
     return value
 
 
-def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetwork:
+def validate_ssn(spec: NetworkSpec) -> AugmentedNetwork:
     """Validate the single-source requirements and build the augmented graph.
 
     Parallel edges are merged by summing their rates (the minimum of
     independent exponentials of rates mu1 and mu2 is exponential of rate
     mu1 + mu2, so the network law is unchanged); a warning is emitted.
-    Idempotent: re-validating the ``base`` of the result is a no-op.
+    The result stores only the augmented graph; its ``base`` and
+    ``fingerprint`` are computed when read.
+    Idempotent: re-validating the ``base`` of the result is a no-op, and
+    warns nothing, since ``base`` has no parallel edges.
     """
     _check_rate(spec.lam, "lambda")
     if spec.source not in spec.nodes:
@@ -229,13 +253,11 @@ def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetw
             merged[key] = e.rate
             order.append(key)
     if len(order) != len(spec.edges):
-        if merge_warning:
-            warnings.warn(
-                "parallel edges merged by summing their rates "
-                "(equivalent in law)",
-                UserWarning,
-                stacklevel=2,
-            )
+        warnings.warn(
+            "parallel edges merged by summing their rates (equivalent in law)",
+            UserWarning,
+            stacklevel=2,
+        )
 
     in_deg = {name: 0 for name in spec.nodes}
     for _, to in order:
@@ -285,26 +307,7 @@ def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetw
     if not math.isfinite(total_rate):
         raise NonFiniteRate(f"total rate overflows to {total_rate}")
 
-    canonical = {
-        "lambda": spec.lam,
-        "source": spec.source,
-        "nodes": list(spec.nodes),
-        "edges": sorted(
-            [frm, to, merged[(frm, to)]] for frm, to in order
-        ),
-    }
-    fingerprint = hashlib.sha256(
-        json.dumps(canonical, sort_keys=True).encode()
-    ).hexdigest()[:16]
-
-    merged_spec = NetworkSpec(
-        spec.nodes,
-        tuple(EdgeSpec(frm, to, merged[(frm, to)]) for frm, to in order),
-        spec.source,
-        spec.lam,
-    )
     return AugmentedNetwork(
-        base=merged_spec,
         node_names=spec.nodes,
         source_index=index_of[spec.source],
         lam=spec.lam,
@@ -312,7 +315,6 @@ def validate_ssn(spec: NetworkSpec, merge_warning: bool = True) -> AugmentedNetw
         edge_heads=tuple(heads),
         edge_rates=tuple(rates),
         total_rate=total_rate,
-        fingerprint=fingerprint,
         index_of=index_of,
     )
 
@@ -392,8 +394,8 @@ def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
     law is unchanged.  Labels, rates, lambda and the virtual edge are kept,
     so every edge keeps its ``edge_key``; node indices are renumbered.  Every
     kept node is reachable from the source through kept nodes, so the
-    result is a valid network.  Parallel edges merge as in ``net``, without
-    a second warning.
+    result is a valid network.  ``net``'s edges are merged already, so
+    validating the induced network warns nothing.
     """
     names = {net.node_names[v] for v in ancestors(net, a)}
     spec = net.base
@@ -403,6 +405,5 @@ def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
             tuple(e for e in spec.edges if e.to in names),
             spec.source,
             spec.lam,
-        ),
-        merge_warning=False,
+        )
     )

@@ -6,8 +6,8 @@ generation timestamps ("births"): the age of node v at time t is t - birth_v,
 a ring of edge (u, w) sets birth_w to max(birth_u, birth_w) (the receiving
 node keeps the fresher packet), and a ring of the virtual edge resets the
 source's birth to the current time.  Ages are piecewise linear between
-events, so time integrals, squared integrals and threshold occupancies are
-accumulated exactly from the birth change points, with no discretization.
+events, so time integrals and threshold occupancies are accumulated
+exactly from the birth change points, with no discretization.
 
 Births are copies of reset times combined only by max, so a run is not
 replayed event by event: every node's births are solved at once as a
@@ -77,12 +77,8 @@ class SimResult:
     window_length: float
     events_used: int
     integral_age: np.ndarray  # (V,)
-    # integral of the squared age; inf from ages near 1e103, where its
-    # cubes overflow (no report reads it, so the run is not refused)
-    integral_age_sq: np.ndarray  # (V,)
     occupancy: dict[float, np.ndarray]  # threshold -> (V,) time with age >= d
     batch_means: np.ndarray  # (N_BATCHES, V) per-batch time averages
-    thresholds: tuple[float, ...]
     # birth change logs, kept for exact joint-trajectory queries
     change_times: tuple[np.ndarray, ...] = field(repr=False)
     change_births: tuple[np.ndarray, ...] = field(repr=False)
@@ -101,19 +97,15 @@ def _integrate(
     t0: float,
     t_end: float,
     thresholds: tuple[float, ...],
-) -> tuple[float, float, list[float], np.ndarray]:
+) -> tuple[float, list[float], np.ndarray]:
     """Exact integrals of one piecewise-linear age trajectory over [t0, t_end].
 
     Segment i runs from ``starts[i]`` to the next start (the last one to
     ``t_end``) with age ``t - births[i]``.  Returns the integral of the age,
-    of its square, the time at or above each threshold, and the
-    ``N_BATCHES`` batch means.  Raises :class:`IntegralOverflow` when any
-    of them but the integral of the square is not finite, as with ages near
-    the float range, and :class:`IntegralUnderflow` when the age integral
-    over a nonempty window is below the smallest normal float.  The integral
-    of the square, a sum of cubes, overflows from ages near 1e103; no report
-    reads it, so it is set to inf there (never NaN) rather than refusing
-    the run.
+    the time at or above each threshold, and the ``N_BATCHES`` batch means.
+    Raises :class:`IntegralOverflow` when any of them is not finite, as with
+    ages near the float range, and :class:`IntegralUnderflow` when the age
+    integral over a nonempty window is below the smallest normal float.
     """
     ends = np.append(starts[1:], t_end)
     s = np.maximum(starts, t0)
@@ -123,9 +115,6 @@ def _integrate(
     a1 = s - b
     a2 = e - b
     integral = np.sum(a2 * a2 - a1 * a1) / 2.0
-    integral_sq = np.sum(a2 ** 3 - a1 ** 3) / 3.0
-    if not math.isfinite(integral_sq):
-        integral_sq = math.inf  # inf - inf makes NaN; the true value is > 0
     occupancy = [
         np.sum(np.maximum(0.0, e - np.maximum(s, b + d))) for d in thresholds
     ]
@@ -144,7 +133,7 @@ def _integrate(
         raise IntegralOverflow("the age integrals over the kept window are not finite")
     if t_end > t0 and integral < sys.float_info.min:
         raise IntegralUnderflow("the age integral over the kept window underflows")
-    return integral, integral_sq, occupancy, batch_means
+    return integral, occupancy, batch_means
 
 
 def _start_births(net: AugmentedNetwork, initial_ages) -> np.ndarray:
@@ -384,11 +373,10 @@ def simulate(
 
     n = len(report)
     integral = np.zeros(n)
-    integral_sq = np.zeros(n)
     occupancy = {d: np.zeros(n) for d in thresholds}
     batch_means = np.zeros((N_BATCHES, n))
     for v in range(n):
-        integral[v], integral_sq[v], occ, batch_means[:, v] = _integrate(
+        integral[v], occ, batch_means[:, v] = _integrate(
             cts[v], cbs[v], t0, t_end, thresholds
         )
         for d, x in zip(thresholds, occ):
@@ -400,26 +388,27 @@ def simulate(
         window_length=window,
         events_used=events_used,
         integral_age=integral,
-        integral_age_sq=integral_sq,
         occupancy=occupancy,
         batch_means=batch_means,
-        thresholds=thresholds,
         change_times=cts,
         change_births=cbs,
         end_time=t_end,
     )
 
 
-def time_average(res: SimResult, v) -> float:
-    """Time-averaged age of node ``v`` over the kept window."""
+def _check_window(res: SimResult) -> None:
     if res.window_length <= 0 or res.events_used <= 0:
         raise EmptyWindow("no events after burn-in")
+
+
+def time_average(res: SimResult, v) -> float:
+    """Time-averaged age of node ``v`` over the kept window."""
+    _check_window(res)
     return float(res.integral_age[res.node_index(v)] / res.window_length)
 
 
 def _check_batches(res: SimResult) -> None:
-    if res.window_length <= 0 or res.events_used <= 0:
-        raise EmptyWindow("no events after burn-in")
+    _check_window(res)
     if res.events_used < N_BATCHES:
         raise TooFewEvents(
             f"{res.events_used} events after burn-in cannot support a stderr "
@@ -452,8 +441,7 @@ def time_average_stderr(res: SimResult, v) -> float:
 
 def violation_fraction(res: SimResult, v, d: float) -> float:
     """Exact fraction of window time with age of ``v`` at or above ``d``."""
-    if res.window_length <= 0 or res.events_used <= 0:
-        raise EmptyWindow("no events after burn-in")
+    _check_window(res)
     d = float(d)
     if d not in res.occupancy:
         raise ThresholdNotRequested(
@@ -481,23 +469,10 @@ def subset_time_average(res: SimResult, mask: int) -> tuple[float, float]:
     if not idx:
         raise EmptySubset("subset must be non-empty")
     cuts, births = _merged_births(res, idx)
-    integral, _, _, batch_means = _integrate(
+    integral, _, batch_means = _integrate(
         cuts[:-1], np.maximum.reduce(births), res.window_start, res.end_time, ()
     )
     return float(integral / res.window_length), _batch_stderr(batch_means)
-
-
-def equal_age_fraction(res: SimResult, u, v) -> float:
-    """Fraction of window time during which two nodes share the exact age.
-
-    Births propagate by copying, so shared ages show up as float-equal birth
-    values; this is the positive-measure tie the sampled tuples never show.
-    """
-    if res.window_length <= 0:
-        raise EmptyWindow("no events after burn-in")
-    cuts, (bu, bv) = _merged_births(res, [res.node_index(u), res.node_index(v)])
-    widths = np.diff(cuts)
-    return float(widths[bu == bv].sum() / res.window_length)
 
 
 def _merged_births(

@@ -165,6 +165,11 @@ def scalar_phi(plan, lam, s):
     return vals[-1]
 
 
+def convergence_bound(net, mask):
+    """The MGF convergence bound of subset ``mask``, read off its cut plan."""
+    return exact._bound(exact._cut_plan(net, mask), net.lam)
+
+
 def chernoff_scan(net, q):
     """The Chernoff bound by a scan of scalar :func:`scalar_phi` calls.
 

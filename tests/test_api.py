@@ -15,12 +15,27 @@ def test_every_public_name_resolves_once():
 
 
 @pytest.mark.parametrize(
-    "name", ["AgeTable", "average_age_all", "Boundary", "boundary"]
+    "name",
+    [
+        "AgeTable",
+        "average_age_all",
+        "Boundary",
+        "boundary",
+        "mgf_convergence_bound",
+        "equal_age_fraction",
+        "full_user_mask",
+        "integral_age_sq",
+        "thresholds",
+        "merge_warning",
+    ],
 )
 def test_library_only_names_are_gone(name):
     assert name not in a.__all__
     assert not hasattr(a, name)
-    assert not any(hasattr(m, name) for m in (a.exact, a.network, a.sampler))
+    owners = (a.exact, a.network, a.sampler, a.simulator, a.AugmentedNetwork)
+    assert not any(hasattr(m, name) for m in owners)
+    assert name not in {f.name for f in dataclasses.fields(a.SimResult)}
+    assert name not in inspect.signature(a.validate_ssn).parameters
 
 
 def test_sampler_keeps_only_what_callers_read():

@@ -40,8 +40,10 @@ def test_validate_rejects_non_finite_rates():
         a.NetworkSpec(ok.nodes, (nan_edge,), ok.source, 1.0),
         a.NetworkSpec(ok.nodes, (huge_edge, huge_edge), ok.source, 1.0),
     ):
-        with pytest.raises(errors.NonFiniteRate):
-            a.validate_ssn(spec, merge_warning=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the huge pair merges first
+            with pytest.raises(errors.NonFiniteRate):
+                a.validate_ssn(spec)
 
 
 def test_parse_malformed():
@@ -132,6 +134,20 @@ def test_validate_idempotent(tri):
     assert again.fingerprint == tri.fingerprint
     assert again.node_names == tri.node_names
     assert again.edge_rates == tri.edge_rates
+
+
+def test_fingerprint_is_pinned(tri, tri_distinct):
+    # the canonical form is part of `validate`'s output; these values must
+    # not move
+    assert tri.fingerprint == "fae9a1722f9cade3"
+    assert tri_distinct.fingerprint == "9ea871eb7e1b62ac"
+    with pytest.warns(UserWarning, match="parallel edges"):
+        merged = build_net(
+            1.0, "s", [("s", "v", 1), ("v", "d", 1), ("s", "d", 1), ("s", "d", 2)]
+        )
+    assert merged.fingerprint == "533a03aac610009d"
+    direct = build_net(1.0, "s", [("s", "v", 1), ("v", "d", 1), ("s", "d", 3)])
+    assert direct.fingerprint == merged.fingerprint
 
 
 def test_merge_invariance_exact_values():
@@ -244,7 +260,9 @@ def test_ancestor_network_merges_parallel_edges_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the caller's network already warned
         sub = ancestor_network(net, net.subset_mask(["d"]))
+        whole = ancestor_network(net, net.subset_mask(["d", "e"]))
     assert edge_rates_by_key(sub) == {(VIRTUAL_SOURCE_LABEL, "s"): 1.0, ("s", "d"): 3.0}
+    assert whole.fingerprint == net.fingerprint
 
 
 def test_ancestor_network_rejects_bad_subsets(tri):

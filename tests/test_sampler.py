@@ -13,7 +13,14 @@ import aoinet as a
 from aoinet import errors, sampler
 from aoinet.network import VIRTUAL_SOURCE_LABEL, bfs_order
 from aoinet.sampler import CHUNK, _relax_distances
-from conftest import average_age_all, build_net, random_ssn, triangle, two_node
+from conftest import (
+    average_age_all,
+    build_net,
+    convergence_bound,
+    random_ssn,
+    triangle,
+    two_node,
+)
 
 
 def exp_draws(rng, key, rate, n, start=0):
@@ -166,7 +173,7 @@ def test_coupled_edge_addition_monotone():
 
 def test_exp_tilt_matches_mgf(tri):
     d = tri.subset_mask(["d"])
-    s = 0.5 * a.mgf_convergence_bound(tri, d)
+    s = 0.5 * convergence_bound(tri, d)
     batch = a.sample_ages(tri, 400_000, a.RngPolicy(13))
     est, se = a.estimate(batch, d, a.Functional.exp_tilt(s))
     exact = a.mgf(tri, a.MgfQuery(d, s)).real
