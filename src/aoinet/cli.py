@@ -22,6 +22,7 @@ import json
 import math
 import secrets
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -286,8 +287,8 @@ def _simulated_mean(net, mask: int, events: int, seed: int) -> tuple[float, floa
     """Time-averaged age of subset ``mask`` and its stderr from one run.
 
     The run solves only the nodes that reach the subset, and its result
-    lists only the subset's nodes.  Its change logs are freed on return,
-    before ``compare`` samples.
+    lists only the subset's nodes.  ``compare`` runs it beside the sampler,
+    so its change logs and the sampled column are in memory at once.
     """
     cfg = sim_mod.SimConfig(total_events=events, master_seed=seed)
     res = sim_mod.simulate(net, cfg, target=mask)
@@ -303,14 +304,16 @@ def cmd_compare(args):
     seed = _seed_of(args)
 
     exact_val = exact_mod.average_age(net, mask)
-    # the simulator first, so that its change logs are freed before the sampler runs
-    sim_val, sim_se = _simulated_mean(net, mask, args.events, seed)
-    batch, sub_mask = sampler_mod.sample_subset(
-        net, mask, args.samples, sampler_mod.RngPolicy(seed)
-    )
-    samp, samp_se = sampler_mod.estimate(
-        batch, sub_mask, sampler_mod.Functional.mean()
-    )
+    # the simulator runs beside the sampler; its result is read first, so its error wins
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        simulated = pool.submit(_simulated_mean, net, mask, args.events, seed)
+        try:
+            batch, sub_mask = sampler_mod.sample_subset(
+                net, mask, args.samples, sampler_mod.RngPolicy(seed)
+            )
+        finally:
+            sim_val, sim_se = simulated.result()
+    samp, samp_se = sampler_mod.estimate(batch, sub_mask, sampler_mod.Functional.mean())
 
     gate_sampler = abs(samp - exact_val) <= 4.0 * samp_se
     gate_sim = abs(sim_val - exact_val) <= 4.0 * sim_se

@@ -9,8 +9,8 @@ so draws only the edges into them, since no other edge lies on a path
 into it; it keeps one value per replicate, the subset age, instead of one
 per node.
 
-Replicates run in fixed chunks of :data:`CHUNK`, spread over threads, by
-default one per CPU the process may run on.  Random streams are
+Replicates run in fixed chunks of :data:`CHUNK`, spread over threads, one
+per CPU the process may run on.  Random streams are
 counter-based: the variate for (master_seed, replicate i, edge e) is the
 i-th draw of a Philox stream keyed by the master seed and a stable hash of
 the edge's endpoint labels.  This makes batches bit-identical regardless of
@@ -208,15 +208,14 @@ def _chunks(
     net: AugmentedNetwork,
     rng: RngPolicy,
     n: int,
-    workers: int | None = None,
     cols: list[int] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(start, ages)`` for replicates ``0 .. n`` in fixed chunks, in order.
 
     ``ages`` has shape (|V|, count), or (1, count) holding the minimum over
     rows ``cols`` when they are given; a thread reduces its own chunk, so
-    only that row outlives it.  Chunk boundaries do not depend on
-    ``workers``, the number of threads, which defaults to the usable CPUs.
+    only that row outlives it.  The chunks run on one thread per usable
+    CPU, and their boundaries do not depend on that number.
     """
 
     def run(start: int) -> tuple[int, np.ndarray]:
@@ -229,8 +228,7 @@ def _chunks(
             return start, dist[: net.n_user]
         return start, dist[cols].min(axis=0, keepdims=True)
 
-    if workers is None:
-        workers = _usable_cpus()
+    workers = _usable_cpus()
     starts = range(0, n, CHUNK)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -243,7 +241,6 @@ def sample_ages(
     net: AugmentedNetwork,
     n: int,
     rng: RngPolicy,
-    workers: int | None = None,
     subset: int | None = None,
 ) -> SampleBatch:
     """Draw ``n`` replicates of the per-node age vector.
@@ -251,16 +248,16 @@ def sample_ages(
     Each replicate takes at most |V| Bellman-Ford sweeps over the |E| edges,
     so O(n |V| |E|) overall; a sweep relaxes only the edges whose tail moved,
     and the sweeps stop once no distance improves.  Chunks of replicates run
-    on ``workers`` threads, by default one per usable CPU.  With ``subset``
-    the batch keeps only the age of that subset, in one column; mask ``1``
-    selects it.  The result is bit-identical for any ``workers`` value
-    (replicate ranges are fixed stream offsets, and a minimum is exact).
+    on one thread per usable CPU.  With ``subset`` the batch keeps only the
+    age of that subset, in one column; mask ``1`` selects it.  The result is
+    bit-identical for any number of CPUs (replicate ranges are fixed stream
+    offsets, and a minimum is exact).
     """
     if n < 1:
         raise ValueError("replicate count must be >= 1")
     cols = None if subset is None else _columns(net.n_user, subset)
     ages = np.empty((n, net.n_user if cols is None else 1))
-    for start, dist in _chunks(net, rng, n, workers, cols):
+    for start, dist in _chunks(net, rng, n, cols):
         ages[start : start + dist.shape[1]] = dist.T
     return SampleBatch(ages=ages, n=n)
 

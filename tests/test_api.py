@@ -27,6 +27,7 @@ def test_every_public_name_resolves_once():
         "integral_age_sq",
         "thresholds",
         "merge_warning",
+        "workers",  # the sampler's threads are the usable CPUs
     ],
 )
 def test_library_only_names_are_gone(name):
@@ -35,7 +36,8 @@ def test_library_only_names_are_gone(name):
     owners = (a.exact, a.network, a.sampler, a.simulator, a.AugmentedNetwork)
     assert not any(hasattr(m, name) for m in owners)
     assert name not in {f.name for f in dataclasses.fields(a.SimResult)}
-    assert name not in inspect.signature(a.validate_ssn).parameters
+    for func in (a.validate_ssn, a.sample_ages, a.sampler._chunks):
+        assert name not in inspect.signature(func).parameters
 
 
 def test_sampler_keeps_only_what_callers_read():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -712,6 +713,82 @@ def test_cdf_sample_independent_of_cpu_count(capsys, monkeypatch, tmp_path, targ
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("target", ["v7", "{v6,v7}"])
+def test_compare_independent_of_cpu_count(capsys, monkeypatch, tmp_path, target):
+    # the simulator runs on a thread of its own beside the sampler's chunks;
+    # neither the CPU count nor the overlap moves a byte, and each row is the
+    # value its route computes alone with the same seed
+    net = random_ssn(8, 2024)
+    path = tmp_path / "r8.json"
+    edges = [(e.frm, e.to, e.rate) for e in net.base.edges]
+    path.write_text(net_json(net.lam, "v0", edges))
+    n, events, seed = 2 * a.sampler.CHUNK + 5, 50_000, 4
+    mask = net.subset_mask(target.strip("{}").split(","))
+    argv = ["compare", "--net", str(path), "--node", target, "--samples", str(n)]
+    argv += ["--events", str(events), "--seed", str(seed)]
+    threads = threading.active_count()
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, more of them than CPUs
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(a.sampler, "_usable_cpus", lambda: cpus)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert threading.active_count() == threads
+            outs.append(out)
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs[0] == outs[1] == outs[2]
+    rows = {r["method"]: r for r in rows_of(outs[0])}
+    batch, sub_mask = a.sample_subset(net, mask, n, a.RngPolicy(seed))
+    want = a.estimate(batch, sub_mask, a.Functional.mean())
+    assert (rows["sample"]["value"], rows["sample"]["stderr"]) == want
+    whole = a.simulate(net, a.SimConfig(total_events=events, master_seed=seed))
+    if mask & (mask - 1):
+        want = a.subset_time_average(whole, mask)
+    else:
+        want = (a.time_average(whole, target), a.time_average_stderr(whole, target))
+    assert (rows["simulate"]["value"], rows["simulate"]["stderr"]) == want
+
+
+@pytest.mark.parametrize("node", ["d", "{v,d}"])
+@pytest.mark.parametrize(
+    "rate, events, want",
+    [
+        (1e-300, 1000, "the age integrals over the kept window are not finite"),
+        (
+            1.0,
+            3,
+            "3 events after burn-in cannot support a stderr from 32 batch "
+            "means; keep at least 32",
+        ),
+    ],
+    ids=["rates-1e-300", "events-3"],
+)
+def test_compare_simulator_error_wins(
+    capsys, monkeypatch, tmp_path, node, rate, events, want
+):
+    # the simulator's refusal is the one printed, as when it ran before the
+    # sampler, even where the sampler beside it fails too; no thread outlives
+    # the call
+    path = tmp_path / "net.json"
+    path.write_text(_doc(rate, [rate] * 3))
+    argv = ["compare", "--net", str(path), "--node", node]
+    argv += ["--samples", str(2 * a.sampler.CHUNK + 5), "--events", str(events)]
+    argv += ["--seed", "1"]
+    threads = threading.active_count()
+    assert run_cli(capsys, *argv) == (1, "", f"error: {want}\n")
+    assert threading.active_count() == threads
+
+    def refuse(*args):
+        raise a.errors.AoiError("the sampler refused")
+
+    monkeypatch.setattr(a.sampler, "sample_subset", refuse)
+    assert run_cli(capsys, *argv) == (1, "", f"error: {want}\n")
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize(

@@ -43,10 +43,12 @@ def test_same_seed_bit_identical(tri):
     assert np.array_equal(b1.ages, b2.ages)
 
 
-def test_worker_count_does_not_change_batch(tri):
-    base = a.sample_ages(tri, 10_001, a.RngPolicy(9), workers=1)
-    for workers in (2, 3, 8):
-        other = a.sample_ages(tri, 10_001, a.RngPolicy(9), workers=workers)
+def test_worker_count_does_not_change_batch(monkeypatch, tri):
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    base = a.sample_ages(tri, 10_001, a.RngPolicy(9))
+    for cpus in (2, 3, 8):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+        other = a.sample_ages(tri, 10_001, a.RngPolicy(9))
         assert np.array_equal(base.ages, other.ages)
 
 
@@ -262,11 +264,13 @@ def test_reverse_listing_keeps_the_law():
     )
 
 
-def test_multi_chunk_batch_independent_of_workers():
+def test_multi_chunk_batch_independent_of_workers(monkeypatch):
     net = random_ssn(6, 3)
     n = 2 * CHUNK + 7
-    base = a.sample_ages(net, n, a.RngPolicy(21), workers=1)
-    threaded = a.sample_ages(net, n, a.RngPolicy(21), workers=3)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    base = a.sample_ages(net, n, a.RngPolicy(21))
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 3)
+    threaded = a.sample_ages(net, n, a.RngPolicy(21))
     assert np.array_equal(base.ages, threaded.ages)
 
 
@@ -331,7 +335,8 @@ def test_streamed_subset_independent_of_workers(monkeypatch, target):
     finally:
         sys.setswitchinterval(interval)
     # a whole-network batch streamed to the subset is the same column
-    streamed = a.sample_ages(net, n, rng, workers=2, subset=mask)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+    streamed = a.sample_ages(net, n, rng, subset=mask)
     assert np.array_equal(streamed.ages, base.ages)
 
 
@@ -350,9 +355,10 @@ def test_workers_default_to_the_usable_cpus(monkeypatch, tri):
     monkeypatch.setattr(sampler, "ThreadPoolExecutor", pool)
     batch = a.sample_ages(tri, CHUNK + 1, a.RngPolicy(28))
     assert seen == [3]
-    assert np.array_equal(
-        batch.ages, a.sample_ages(tri, CHUNK + 1, a.RngPolicy(28), workers=1).ages
-    )
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    one = a.sample_ages(tri, CHUNK + 1, a.RngPolicy(28))
+    assert np.array_equal(batch.ages, one.ages)
+    assert seen == [3]  # one CPU runs the chunks on the calling thread
 
 
 def test_one_column_subset_ages_are_a_view(tri):
@@ -423,7 +429,9 @@ def test_functional_validation():
 def test_determinism_property(seed, n):
     net = triangle()
     b1 = a.sample_ages(net, n, a.RngPolicy(seed))
-    b2 = a.sample_ages(net, n, a.RngPolicy(seed), workers=2)
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body
+        mp.setattr(sampler, "_usable_cpus", lambda: 2)
+        b2 = a.sample_ages(net, n, a.RngPolicy(seed))
     assert np.array_equal(b1.ages, b2.ages)
 
 
@@ -438,7 +446,8 @@ def test_in_place_draws_match_the_formula(monkeypatch):
         return _relax_distances(net, service)
 
     monkeypatch.setattr(sampler, "_relax_distances", keep)
-    for _ in sampler._chunks(net, rng, CHUNK + 1000, workers=1):
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    for _ in sampler._chunks(net, rng, CHUNK + 1000):
         pass
     assert [service.shape for service in seen] == [(4, CHUNK), (4, 1000)]
     for start, service in zip((0, CHUNK), seen):
