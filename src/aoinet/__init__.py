@@ -14,8 +14,6 @@ from .closed_forms import (
     triangle_min_tail,
 )
 from .exact import (
-    MgfQuery,
-    TailQuery,
     average_age,
     cdf_grid,
     chain_average_ages,
@@ -30,7 +28,6 @@ from .network import (
     validate_ssn,
 )
 from .sampler import (
-    Functional,
     RngPolicy,
     SampleBatch,
     empirical_cdf,
@@ -53,14 +50,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedNetwork",
     "EdgeSpec",
-    "Functional",
-    "MgfQuery",
     "NetworkSpec",
     "RngPolicy",
     "SampleBatch",
     "SimConfig",
     "SimResult",
-    "TailQuery",
     "TriangleRates",
     "average_age",
     "cdf_grid",

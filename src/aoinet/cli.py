@@ -167,7 +167,7 @@ def cmd_exact(args):
 def cmd_mgf(args):
     net = _load_network(args.net)
     mask = _parse_subset_expr(net, args.node)
-    value = exact_mod.mgf(net, exact_mod.MgfQuery(mask, args.s))
+    value = exact_mod.mgf(net, mask, args.s)
     return [_row(_subset_name(net, mask), "mgf", value.real, s=args.s)]
 
 
@@ -205,18 +205,19 @@ def cmd_cdf(args):
     batch, sub_mask = sampler_mod.sample_subset(
         net, mask, args.samples, sampler_mod.RngPolicy(seed)
     )
+    n = args.samples
     rows = []
     for d in grid:
         value = sampler_mod.empirical_cdf(batch, sub_mask, d)
-        stderr = (value * (1.0 - value) / batch.n) ** 0.5
-        rows.append(_row(name, "cdf-sample", value, stderr, d=d, n=batch.n, seed=seed))
+        stderr = (value * (1.0 - value) / n) ** 0.5
+        rows.append(_row(name, "cdf-sample", value, stderr, d=d, n=n, seed=seed))
     return rows
 
 
 def cmd_chernoff(args):
     net = _load_network(args.net)
     mask = _parse_subset_expr(net, args.node)
-    value = exact_mod.chernoff_bound(net, exact_mod.TailQuery(mask, args.d))
+    value = exact_mod.chernoff_bound(net, mask, args.d)
     return [_row(_subset_name(net, mask), "chernoff", value, d=args.d)]
 
 
@@ -233,9 +234,7 @@ def cmd_sample(args):
                 writer.writerow([f"{x:.12g}" for x in row])
     rows = []
     for i, name in enumerate(net.node_names):
-        est, stderr = sampler_mod.estimate(
-            batch, 1 << i, sampler_mod.Functional.mean()
-        )
+        est, stderr = sampler_mod.estimate(batch, 1 << i)
         rows.append(_row(name, "sample", est, stderr, n=args.samples, seed=seed))
     return rows
 
@@ -283,14 +282,13 @@ def cmd_cascade(args):
     return _all_means(_load_network(args.net), "cascade")
 
 
-def _simulated_mean(net, mask: int, events: int, seed: int) -> tuple[float, float]:
+def _simulated_mean(net, mask: int, cfg) -> tuple[float, float]:
     """Time-averaged age of subset ``mask`` and its stderr from one run.
 
     The run solves only the nodes that reach the subset, and its result
     lists only the subset's nodes.  ``compare`` runs it beside the sampler,
     so its change logs and the sampled column are in memory at once.
     """
-    cfg = sim_mod.SimConfig(total_events=events, master_seed=seed)
     res = sim_mod.simulate(net, cfg, target=mask)
     if len(res.node_names) == 1:
         return sim_mod.time_average(res, 0), sim_mod.time_average_stderr(res, 0)
@@ -304,16 +302,18 @@ def cmd_compare(args):
     seed = _seed_of(args)
 
     exact_val = exact_mod.average_age(net, mask)
+    cfg = sim_mod.SimConfig(total_events=args.events, master_seed=seed)
+    sim_mod.check_batches(sim_mod.kept_events(cfg))  # before either route starts
     # the simulator runs beside the sampler; its result is read first, so its error wins
     with ThreadPoolExecutor(max_workers=1) as pool:
-        simulated = pool.submit(_simulated_mean, net, mask, args.events, seed)
+        simulated = pool.submit(_simulated_mean, net, mask, cfg)
         try:
             batch, sub_mask = sampler_mod.sample_subset(
                 net, mask, args.samples, sampler_mod.RngPolicy(seed)
             )
         finally:
             sim_val, sim_se = simulated.result()
-    samp, samp_se = sampler_mod.estimate(batch, sub_mask, sampler_mod.Functional.mean())
+    samp, samp_se = sampler_mod.estimate(batch, sub_mask)
 
     gate_sampler = abs(samp - exact_val) <= 4.0 * samp_se
     gate_sim = abs(sim_val - exact_val) <= 4.0 * sim_se

@@ -36,7 +36,6 @@ import cmath
 import math
 import os
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -62,18 +61,6 @@ MAX_NODES_ENV = "AOI_MAX_EXACT_NODES"
 MAX_JUMPS = 1 << 20  # uniformization jumps one cdf_grid call may take
 _CDF_TOL = 1e-15  # bound on each cdf_grid value's relative truncation error
 _BLOCK = 1 << 16  # elements of one (superset x edge) temporary of _walk_means
-
-
-@dataclass(frozen=True)
-class MgfQuery:
-    subset: int
-    s: complex
-
-
-@dataclass(frozen=True)
-class TailQuery:
-    subset: int
-    d: float
 
 
 def _check_size(nodes: int) -> None:
@@ -456,24 +443,24 @@ def _bound(plan, lam: float) -> float:
     return min([lam] + [mu for mu, _ in plan])
 
 
-def mgf(net: AugmentedNetwork, q: MgfQuery) -> complex:
-    """E[exp(s * age)] of the queried subset via the boundary-cut recursion.
+def mgf(net: AugmentedNetwork, a: int, s: complex) -> complex:
+    """E[exp(s * age)] of subset ``a`` via the boundary-cut recursion.
 
     Raises :class:`OutsideConvergenceRegion` when ``Re(s)`` is not below
     the plan's convergence bound (:func:`_bound`), and
     :class:`IntegralOverflow` when the value is not finite there, as close
     below the bound of a long chain.
     """
-    plan = _cut_plan(net, q.subset)
-    s = complex(q.s)
+    plan = _cut_plan(net, a)
+    z = complex(s)
     bound = _bound(plan, net.lam)
-    if s.real >= bound:
+    if z.real >= bound:
         raise OutsideConvergenceRegion(
-            f"Re(s)={s.real} is not below the convergence bound {bound}"
+            f"Re(s)={z.real} is not below the convergence bound {bound}"
         )
-    value = _phi(plan, net.lam, s)
+    value = _phi(plan, net.lam, z)
     if not cmath.isfinite(value):
-        raise IntegralOverflow(f"the MGF at s={q.s} is not finite")
+        raise IntegralOverflow(f"the MGF at s={s} is not finite")
     return value
 
 
@@ -561,18 +548,19 @@ def cdf_grid(net: AugmentedNetwork, a: int, grid) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def chernoff_bound(net: AugmentedNetwork, q: TailQuery) -> float:
+def chernoff_bound(net: AugmentedNetwork, a: int, d: float) -> float:
     """Upper bound on Pr[age >= d]: min over s of e^{-sd} E[e^{s age}].
 
-    log E[e^{s age}] - s d is convex on the convergence interval, so a coarse
-    log-spaced grid followed by golden-section refinement finds the global
-    optimum.  The 64-point grid is one :func:`_phi` pass over a float array;
-    where E[e^{s age}] overflows it is inf, and such a point is never picked.
-    Clamped to 1 (the bound is vacuous for d at or below the mean).
+    The age is that of subset ``a``; a negative or NaN ``d`` raises
+    :class:`ValueError`.  log E[e^{s age}] - s d is convex on the
+    convergence interval, so a coarse log-spaced grid followed by
+    golden-section refinement finds the global optimum.  The 64-point grid
+    is one :func:`_phi` pass over a float array; where E[e^{s age}]
+    overflows it is inf, and such a point is never picked.  Clamped to 1
+    (the bound is vacuous for d at or below the mean).
     """
-    plan = _cut_plan(net, q.subset)
-    d = q.d
-    if d < 0:
+    plan = _cut_plan(net, a)
+    if not d >= 0.0:  # NaN too
         raise ValueError(f"threshold d must be non-negative, got {d}")
     s_max = _bound(plan, net.lam) * (1.0 - 1e-6)
 

@@ -32,7 +32,7 @@ import hashlib
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -94,44 +94,6 @@ class SampleBatch:
     """N i.i.d. sampled age vectors, one column per user node or one subset."""
 
     ages: np.ndarray  # shape (n, |V|), or (n, 1) for one subset
-    n: int
-
-
-@dataclass(frozen=True)
-class Functional:
-    """Replicate-wise transform applied before averaging."""
-
-    kind: str
-    param: float | None = None
-
-    @classmethod
-    def mean(cls) -> "Functional":
-        return cls("mean")
-
-    @classmethod
-    def moment(cls, k: int) -> "Functional":
-        if k < 1:
-            raise ValueError("moment order must be >= 1")
-        return cls("moment", float(k))
-
-    @classmethod
-    def indicator_ge(cls, d: float) -> "Functional":
-        return cls("indicator_ge", float(d))
-
-    @classmethod
-    def exp_tilt(cls, s: float) -> "Functional":
-        return cls("exp_tilt", float(s))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "mean":
-            return x
-        if self.kind == "moment":
-            return x ** self.param
-        if self.kind == "indicator_ge":
-            return (x >= self.param).astype(float)
-        if self.kind == "exp_tilt":
-            return np.exp(self.param * x)
-        raise ValueError(f"unknown functional kind {self.kind!r}")
 
 
 # Replicates per chunk.  A multiple of 4, so each edge stream can be advanced
@@ -259,7 +221,7 @@ def sample_ages(
     ages = np.empty((n, net.n_user if cols is None else 1))
     for start, dist in _chunks(net, rng, n, cols):
         ages[start : start + dist.shape[1]] = dist.T
-    return SampleBatch(ages=ages, n=n)
+    return SampleBatch(ages=ages)
 
 
 def sample_subset(
@@ -292,22 +254,27 @@ def _check_finite(*moments: float) -> None:
 
 
 def estimate(
-    batch: SampleBatch, a: int, f: Functional
+    batch: SampleBatch, a: int, f: Callable[[np.ndarray], np.ndarray] | None = None
 ) -> tuple[float, float]:
-    """Sample mean and standard error of ``f`` applied to the subset age.
+    """Sample mean and standard error of ``f`` of the subset age.
 
-    Raises :class:`IntegralOverflow` if the mean or variance is not finite, and
-    :class:`IntegralUnderflow` if unequal values have a variance below the
-    smallest normal float, where it has lost its digits.
+    ``f`` maps the array of subset ages to the array of values to average,
+    entry by entry, such as ``lambda x: np.exp(s * x)``; ``None`` averages
+    the ages themselves.  Raises :class:`IntegralOverflow` if the mean or
+    variance is not finite, and :class:`IntegralUnderflow` if unequal values
+    have a variance below the smallest normal float, where it has lost its
+    digits.
     """
+    n = batch.ages.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = f.apply(_subset_ages(batch, a))
+        x = _subset_ages(batch, a)
+        vals = x if f is None else f(x)
         est = float(vals.mean())
-        var = float(vals.var(ddof=1)) if batch.n > 1 else 0.0
+        var = float(vals.var(ddof=1)) if n > 1 else 0.0
     _check_finite(est, var)
     if var < sys.float_info.min and vals.min() < vals.max():
         raise IntegralUnderflow("the variance of the sampled ages underflows")
-    return est, math.sqrt(var) / math.sqrt(batch.n) if batch.n > 1 else math.inf
+    return est, math.sqrt(var) / math.sqrt(n) if n > 1 else math.inf
 
 
 def empirical_cdf(batch: SampleBatch, a: int, d: float) -> float:

@@ -287,6 +287,11 @@ def _births(
     return events, births
 
 
+def kept_events(cfg: SimConfig) -> int:
+    """Events after the burn-in: the ones the kept window of a run holds."""
+    return cfg.total_events - math.floor(cfg.burn_in_fraction * cfg.total_events)
+
+
 def _write_trace(
     path: str,
     net: AugmentedNetwork,
@@ -365,10 +370,10 @@ def simulate(
         cbs.append(np.concatenate((b[:1], b[1:][moved])))
     cts, cbs = tuple(cts), tuple(cbs)
 
-    burn = int(math.floor(cfg.burn_in_fraction * n_events))
+    events_used = kept_events(cfg)
+    burn = n_events - events_used
     t0 = float(times[burn - 1]) if burn > 0 else 0.0
     t_end = float(times[-1])
-    events_used = n_events - burn
     window = t_end - t0
 
     n = len(report)
@@ -407,13 +412,22 @@ def time_average(res: SimResult, v) -> float:
     return float(res.integral_age[res.node_index(v)] / res.window_length)
 
 
-def _check_batches(res: SimResult) -> None:
-    _check_window(res)
-    if res.events_used < N_BATCHES:
+def check_batches(events_used: int) -> None:
+    """Refuse a kept window of ``events_used`` events as too short for a stderr.
+
+    Raises :class:`TooFewEvents` below ``N_BATCHES`` events.  With
+    :func:`kept_events` it refuses a config before any run.
+    """
+    if events_used < N_BATCHES:
         raise TooFewEvents(
-            f"{res.events_used} events after burn-in cannot support a stderr "
+            f"{events_used} events after burn-in cannot support a stderr "
             f"from {N_BATCHES} batch means; keep at least {N_BATCHES}"
         )
+
+
+def _check_batches(res: SimResult) -> None:
+    _check_window(res)
+    check_batches(res.events_used)
 
 
 def _batch_stderr(batch_means: np.ndarray) -> float:

@@ -170,7 +170,7 @@ def convergence_bound(net, mask):
     return exact._bound(exact._cut_plan(net, mask), net.lam)
 
 
-def chernoff_scan(net, q):
+def chernoff_scan(net, mask, d):
     """The Chernoff bound by a scan of scalar :func:`scalar_phi` calls.
 
     The reference for ``exact.chernoff_bound``'s one array pass: the same
@@ -179,8 +179,7 @@ def chernoff_scan(net, q):
     and ``np.argmin`` picks the first NaN, so it agrees only where phi is
     finite on the whole grid.
     """
-    plan = exact._cut_plan(net, q.subset)
-    d = q.d
+    plan = exact._cut_plan(net, mask)
     s_max = exact._bound(plan, net.lam) * (1.0 - 1e-6)
 
     def log_obj(s):

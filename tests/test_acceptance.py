@@ -78,7 +78,7 @@ def test_criterion_04_cross_validation():
         res = a.simulate(net, a.SimConfig(total_events=1_000_000, master_seed=404))
         for v, name in enumerate(net.node_names):
             exact = a.average_age(net, 1 << v)
-            est, se = a.estimate(batch, 1 << v, a.Functional.mean())
+            est, se = a.estimate(batch, 1 << v)
             worst_sigma = max(worst_sigma, abs(est - exact) / se)
             sim = a.time_average(res, name)
             sim_se = a.time_average_stderr(res, name)
@@ -96,8 +96,8 @@ def test_criterion_05_mgf_matches_mean():
     for net in nets:
         table = average_age_all(net)
         for mask in range(1, 1 << net.n_user):
-            fp = a.mgf(net, a.MgfQuery(mask, h)).real
-            fm = a.mgf(net, a.MgfQuery(mask, -h)).real
+            fp = a.mgf(net, mask, h).real
+            fm = a.mgf(net, mask, -h).real
             deriv = (fp - fm) / (2 * h)
             worst = max(worst, abs(deriv - table[mask]) / table[mask])
     ok = worst < 1e-6
@@ -135,7 +135,7 @@ def test_criterion_07_chernoff_soundness():
     ratio8 = None
     for d in (1.0, 2.0, 4.0, 8.0):
         tail = (1.0 + d) * math.exp(-d)
-        bound = a.chernoff_bound(net, a.TailQuery(d_mask, d))
+        bound = a.chernoff_bound(net, d_mask, d)
         ok &= bound >= tail
         if d == 8.0:
             ratio8 = bound / tail

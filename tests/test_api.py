@@ -2,10 +2,14 @@
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
 import aoinet as a
+from conftest import net_json
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_public_name_resolves_once():
@@ -28,6 +32,9 @@ def test_every_public_name_resolves_once():
         "thresholds",
         "merge_warning",
         "workers",  # the sampler's threads are the usable CPUs
+        "Functional",  # estimate takes any callable of the ages
+        "MgfQuery",  # mgf and chernoff_bound take the subset and s or d
+        "TailQuery",
     ],
 )
 def test_library_only_names_are_gone(name):
@@ -42,7 +49,7 @@ def test_library_only_names_are_gone(name):
 
 def test_sampler_keeps_only_what_callers_read():
     assert not hasattr(a.RngPolicy, "edge_exponentials")
-    assert [f.name for f in dataclasses.fields(a.SampleBatch)] == ["ages", "n"]
+    assert [f.name for f in dataclasses.fields(a.SampleBatch)] == ["ages"]
 
 
 @pytest.mark.parametrize(
@@ -53,3 +60,15 @@ def test_sampler_keeps_only_what_callers_read():
 def test_exact_entry_points_have_one_limit_setting(entry):
     # the exact-engine limit is AOI_MAX_EXACT_NODES alone
     assert "max_nodes" not in inspect.signature(entry).parameters
+
+
+def test_readme_library_block_runs(monkeypatch, tmp_path):
+    # the README's Library block runs as written, so a renamed or deleted
+    # public name fails here, not only in the docs
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("\n```", 1)[0]
+    edges = [("s", "v", 1), ("v", "d", 1), ("s", "d", 1)]
+    (tmp_path / "net.json").write_text(net_json(1.0, "s", edges))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})

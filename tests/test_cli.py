@@ -675,7 +675,7 @@ def test_one_target_commands_match_the_full_batch(capsys, tmp_path):
         )
         assert code == 0
         rows = {r["method"]: r for r in rows_of(out)}
-        want = a.estimate(batch, mask, a.Functional.mean())
+        want = a.estimate(batch, mask)
         assert (rows["sample"]["value"], rows["sample"]["stderr"]) == want
         if len(labels) == 1:
             want = (
@@ -744,7 +744,7 @@ def test_compare_independent_of_cpu_count(capsys, monkeypatch, tmp_path, target)
     assert outs[0] == outs[1] == outs[2]
     rows = {r["method"]: r for r in rows_of(outs[0])}
     batch, sub_mask = a.sample_subset(net, mask, n, a.RngPolicy(seed))
-    want = a.estimate(batch, sub_mask, a.Functional.mean())
+    want = a.estimate(batch, sub_mask)
     assert (rows["sample"]["value"], rows["sample"]["stderr"]) == want
     whole = a.simulate(net, a.SimConfig(total_events=events, master_seed=seed))
     if mask & (mask - 1):
@@ -783,12 +783,17 @@ def test_compare_simulator_error_wins(
     assert run_cli(capsys, *argv) == (1, "", f"error: {want}\n")
     assert threading.active_count() == threads
 
+    calls = []
+
     def refuse(*args):
+        calls.append(args)
         raise a.errors.AoiError("the sampler refused")
 
     monkeypatch.setattr(a.sampler, "sample_subset", refuse)
     assert run_cli(capsys, *argv) == (1, "", f"error: {want}\n")
     assert threading.active_count() == threads
+    # too few events are refused before either Monte Carlo route starts
+    assert len(calls) == (0 if events == 3 else 1)
 
 
 @pytest.mark.parametrize(

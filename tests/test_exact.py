@@ -99,23 +99,23 @@ class TestAverageAge:
         with pytest.raises(errors.NetworkTooLarge, match="6 nodes in one region"):
             a.average_age(net, rest)
         with pytest.raises(errors.NetworkTooLarge, match="6 nodes in one region"):
-            a.mgf(net, a.MgfQuery(rest, 0.0))
+            a.mgf(net, rest, 0.0)
         with pytest.raises(errors.NetworkTooLarge, match="6 nodes in one region"):
             a.cdf_grid(net, rest, [1.0])
         with pytest.raises(errors.NetworkTooLarge, match="6 nodes in one region"):
-            a.chernoff_bound(net, a.TailQuery(rest, 1.0))
+            a.chernoff_bound(net, rest, 1.0)
         # the source's region is the source alone
         assert a.average_age(net, src) == 1.0 / net.lam
-        assert a.mgf(net, a.MgfQuery(src, 0.5)) == net.lam / (net.lam - 0.5)
+        assert a.mgf(net, src, 0.5) == net.lam / (net.lam - 0.5)
         assert a.cdf_grid(net, src, [1.0])[0] == pytest.approx(
             -math.expm1(-net.lam), rel=1e-14
         )
-        assert a.chernoff_bound(net, a.TailQuery(src, 0.0)) == 1.0
+        assert a.chernoff_bound(net, src, 0.0) == 1.0
         monkeypatch.setenv("AOI_MAX_EXACT_NODES", "6")
         a.average_age(net, rest)
-        assert a.mgf(net, a.MgfQuery(rest, 0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert a.mgf(net, rest, 0.0) == pytest.approx(1.0, abs=1e-15)
         assert a.cdf_grid(net, rest, [0.0])[0] == 0.0
-        assert 0.0 < a.chernoff_bound(net, a.TailQuery(rest, 20.0)) < 1.0
+        assert 0.0 < a.chernoff_bound(net, rest, 20.0) < 1.0
 
     def test_env_override(self, monkeypatch):
         def bypassed(n):  # v0 -> ... -> v{n-1}, plus v0 -> v{n-1}: one region
@@ -129,25 +129,25 @@ class TestAverageAge:
         monkeypatch.delenv("AOI_MAX_EXACT_NODES", raising=False)
         for query in (
             lambda: a.average_age(chain, last),
-            lambda: a.mgf(chain, a.MgfQuery(last, 0.0)),
+            lambda: a.mgf(chain, last, 0.0),
             lambda: a.cdf_grid(chain, last, [1.0]),
-            lambda: a.chernoff_bound(chain, a.TailQuery(last, 1.0)),
+            lambda: a.chernoff_bound(chain, last, 1.0),
         ):
             with pytest.raises(errors.NetworkTooLarge, match="21 nodes.*limit 20"):
                 query()
         # without the bypass, every region is one edge long
         plain = serial(1.0, [1.0] * 20)
         end = 1 << (plain.n_user - 1)
-        assert a.mgf(plain, a.MgfQuery(end, 0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert a.mgf(plain, end, 0.0) == pytest.approx(1.0, abs=1e-15)
         a.cdf_grid(plain, end, [1.0])
         monkeypatch.setenv("AOI_MAX_EXACT_NODES", "21")
-        assert a.mgf(chain, a.MgfQuery(last, 0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert a.mgf(chain, last, 0.0) == pytest.approx(1.0, abs=1e-15)
         a.cdf_grid(chain, last, [1.0])
         # the setting is capped at 28 nodes
         longer = bypassed(29)
         monkeypatch.setenv("AOI_MAX_EXACT_NODES", "100")
         with pytest.raises(errors.NetworkTooLarge, match="29 nodes.*limit 28"):
-            a.mgf(longer, a.MgfQuery(1 << (longer.n_user - 1), 0.0))
+            a.mgf(longer, 1 << (longer.n_user - 1), 0.0)
         with pytest.raises(errors.NetworkTooLarge, match="29 nodes.*limit 28"):
             a.cdf_grid(longer, 1 << (longer.n_user - 1), [1.0])
 
@@ -157,36 +157,34 @@ class TestMgf:
         for seed in range(3):
             net = random_ssn(5, seed)
             for mask in range(1, 1 << net.n_user):
-                assert a.mgf(net, a.MgfQuery(mask, 0.0)) == pytest.approx(
-                    1.0, abs=1e-15
-                )
+                assert a.mgf(net, mask, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_source_subset_closed_form(self):
         net = two_node(lam=2.0, mu=1.0)
         s_mask = net.subset_mask(["s"])
-        assert a.mgf(net, a.MgfQuery(s_mask, 1.0)) == pytest.approx(2.0)
+        assert a.mgf(net, s_mask, 1.0) == pytest.approx(2.0)
 
     def test_two_node_product_of_mgfs(self, two):
         d = two.subset_mask(["d"])
         # age is the sum of two Exp(1): product of the factors at s = 0.5
-        assert a.mgf(two, a.MgfQuery(d, 0.5)) == pytest.approx(4.0, rel=1e-12)
+        assert a.mgf(two, d, 0.5) == pytest.approx(4.0, rel=1e-12)
 
     def test_two_node_vs_sampled_tilt(self, two):
         d = two.subset_mask(["d"])
         s = 0.5 * convergence_bound(two, d)
         batch = a.sample_ages(two, 400_000, a.RngPolicy(5))
-        est, se = a.estimate(batch, d, a.Functional.exp_tilt(s))
-        exact = a.mgf(two, a.MgfQuery(d, s)).real
+        est, se = a.estimate(batch, d, lambda x: np.exp(s * x))
+        exact = a.mgf(two, d, s).real
         assert abs(est - exact) < 4 * se
 
     def test_outside_convergence_region(self, two):
         d = two.subset_mask(["d"])
         with pytest.raises(errors.OutsideConvergenceRegion):
-            a.mgf(two, a.MgfQuery(d, 1.0))
+            a.mgf(two, d, 1.0)
 
     def test_complex_argument_allowed(self, two):
         d = two.subset_mask(["d"])
-        val = a.mgf(two, a.MgfQuery(d, 2.0j))
+        val = a.mgf(two, d, 2.0j)
         # CF of Erlang(2,1): (1/(1-iw))^2
         assert val == pytest.approx((1.0 / (1.0 - 2.0j)) ** 2)
 
@@ -196,8 +194,8 @@ class TestMgf:
             net = random_ssn(6, seed)
             table = average_age_all(net)
             for mask in range(1, 1 << net.n_user):
-                fp = a.mgf(net, a.MgfQuery(mask, h)).real
-                fm = a.mgf(net, a.MgfQuery(mask, -h)).real
+                fp = a.mgf(net, mask, h).real
+                fm = a.mgf(net, mask, -h).real
                 deriv = (fp - fm) / (2 * h)
                 assert deriv == pytest.approx(table[mask], rel=1e-6)
 
@@ -206,8 +204,8 @@ class TestMgf:
         net = triangle_chain(1.3, rng.uniform(0.5, 3.0, size=(100, 3)).tolist())
         last = 1 << (net.n_user - 1)
         h = 1e-6
-        fp = a.mgf(net, a.MgfQuery(last, h)).real
-        fm = a.mgf(net, a.MgfQuery(last, -h)).real
+        fp = a.mgf(net, last, h).real
+        fm = a.mgf(net, last, -h).real
         assert (fp - fm) / (2 * h) == pytest.approx(a.average_age(net, last), rel=1e-7)
 
 
@@ -231,7 +229,7 @@ class TestConvergenceBound:
     def test_mgf_diverges_at_bound(self):
         net = two_node(lam=1.0, mu=3.0)
         d = net.subset_mask(["d"])
-        close = a.mgf(net, a.MgfQuery(d, 1.0 - 1e-9)).real
+        close = a.mgf(net, d, 1.0 - 1e-9).real
         assert close > 1e6
 
 
@@ -528,7 +526,7 @@ class TestCutPlan:
                 whole = oracle_mgf(net, mask, s)
                 assert abs(got - whole) <= 1e-15 * abs(whole)
             for s in (0.25j, -1.5 + 3j, 0.5 * bound):
-                got = a.mgf(net, a.MgfQuery(mask, s))
+                got = a.mgf(net, mask, s)
                 assert got == oracle_path_mgf(net, mask, complex(s))
 
     def test_array_phi_matches_scalar_exactly(self, name):
@@ -550,8 +548,7 @@ class TestCutPlan:
         net = PLAN_NETS[name]()
         for mask in plan_targets(net):
             for d in (0.0, 0.5, 2.0, 4.0, 40.0):
-                q = a.TailQuery(mask, d)
-                assert a.chernoff_bound(net, q) == chernoff_scan(net, q)
+                assert a.chernoff_bound(net, mask, d) == chernoff_scan(net, mask, d)
 
     def test_convergence_bound_matches_walk_exactly(self, name):
         net = PLAN_NETS[name]()
@@ -592,8 +589,8 @@ def test_one_plan_per_query(monkeypatch):
     monkeypatch.setattr(exact, "_cut_plan", counted)
     monkeypatch.setattr(exact, "average_age", None)  # no mean walk either
     exact.cdf_grid(net, 1 << 7, [0.5, 2.0])
-    exact.chernoff_bound(net, a.TailQuery(1 << 7, 4.0))
-    exact.mgf(net, a.MgfQuery(1 << 7, 0.1))
+    exact.chernoff_bound(net, 1 << 7, 4.0)
+    exact.mgf(net, 1 << 7, 0.1)
     assert len(plans) == 3
 
 
@@ -706,12 +703,12 @@ class TestCdfInversion:
 class TestChernoff:
     def test_at_zero_clamped(self, tri):
         d = tri.subset_mask(["d"])
-        assert a.chernoff_bound(tri, a.TailQuery(d, 0.0)) == 1.0
+        assert a.chernoff_bound(tri, d, 0.0) == 1.0
 
     def test_two_node_erlang_tail(self, two):
         d = two.subset_mask(["d"])
         exact_tail = 11 * math.exp(-10)  # Pr[Erlang(2,1) >= 10]
-        bound = a.chernoff_bound(two, a.TailQuery(d, 10.0))
+        bound = a.chernoff_bound(two, d, 10.0)
         assert bound >= exact_tail
         assert bound < 50 * exact_tail
 
@@ -719,21 +716,24 @@ class TestChernoff:
         d_mask = two.subset_mask(["d"])
         for x in (1.0, 2.0, 4.0, 8.0, 12.0):
             exact_tail = (1.0 + x) * math.exp(-x)
-            assert a.chernoff_bound(two, a.TailQuery(d_mask, x)) >= exact_tail
+            assert a.chernoff_bound(two, d_mask, x) >= exact_tail
+
+    def test_negative_or_nan_threshold_rejected(self, tri):
+        d = tri.subset_mask(["d"])
+        for x in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                a.chernoff_bound(tri, d, x)
 
     def test_monotone_decreasing_in_d(self, tri):
         d = tri.subset_mask(["d"])
-        vals = [
-            a.chernoff_bound(tri, a.TailQuery(d, x))
-            for x in (2.0, 4.0, 8.0, 16.0)
-        ]
+        vals = [a.chernoff_bound(tri, d, x) for x in (2.0, 4.0, 8.0, 16.0)]
         assert all(x >= y for x, y in zip(vals, vals[1:]))
 
     def test_dominates_inversion_tail(self):
         for net in (two_node(), triangle()):
             mask = 1 << (net.n_user - 1)
             for x in (1.0, 3.0, 6.0):
-                cb = a.chernoff_bound(net, a.TailQuery(mask, x))
+                cb = a.chernoff_bound(net, mask, x)
                 tail = 1.0 - a.cdf_grid(net, mask, [x])[0]
                 assert cb >= tail - 1e-6
 
@@ -748,7 +748,7 @@ class TestChernoff:
             for d in (400.0, 600.0, 900.0):
                 s = 1.0 - 300.0 / d
                 optimum = math.exp(-s * d - 300.0 * math.log1p(-s))
-                got = a.chernoff_bound(net, a.TailQuery(last, d))
+                got = a.chernoff_bound(net, last, d)
                 assert got == pytest.approx(optimum, rel=1e-12)
 
 

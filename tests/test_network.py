@@ -169,8 +169,8 @@ def test_merge_invariance_sampled_means():
     direct = build_net(1.0, "s", [("s", "d", 3.0)])
     d1 = merged.subset_mask(["d"])
     n = 200_000
-    e1, s1 = a.estimate(a.sample_ages(merged, n, a.RngPolicy(11)), d1, a.Functional.mean())
-    e2, s2 = a.estimate(a.sample_ages(direct, n, a.RngPolicy(11)), d1, a.Functional.mean())
+    e1, s1 = a.estimate(a.sample_ages(merged, n, a.RngPolicy(11)), d1)
+    e2, s2 = a.estimate(a.sample_ages(direct, n, a.RngPolicy(11)), d1)
     assert abs(e1 - e2) < 4 * (s1**2 + s2**2) ** 0.5
 
 
