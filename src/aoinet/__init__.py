@@ -39,7 +39,6 @@ from .simulator import (
     SimConfig,
     SimResult,
     simulate,
-    subset_time_average,
     time_average,
     time_average_stderr,
     violation_fraction,
@@ -68,7 +67,6 @@ __all__ = [
     "sample_subset",
     "serial_cascade_age",
     "simulate",
-    "subset_time_average",
     "time_average",
     "time_average_stderr",
     "triangle_age",

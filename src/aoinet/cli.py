@@ -69,13 +69,6 @@ def _parse_subset_expr(net, expr: str) -> int:
         raise AoiError(str(exc)) from exc
 
 
-def _subset_name(net, mask: int) -> str:
-    labels = net.subset_labels(mask)
-    if len(labels) == 1:
-        return labels[0]
-    return "{" + ",".join(labels) + "}"
-
-
 def _arg_type(convert, ok, want: str):
     """An argparse ``type`` that refuses values ``ok`` rejects."""
 
@@ -161,20 +154,20 @@ def cmd_exact(args):
     if args.all:
         return _all_means(net, "exact")
     mask = _parse_subset_expr(net, args.node if args.subset is None else args.subset)
-    return [_row(_subset_name(net, mask), "exact", exact_mod.average_age(net, mask))]
+    return [_row(net.subset_name(mask), "exact", exact_mod.average_age(net, mask))]
 
 
 def cmd_mgf(args):
     net = _load_network(args.net)
     mask = _parse_subset_expr(net, args.node)
     value = exact_mod.mgf(net, mask, args.s)
-    return [_row(_subset_name(net, mask), "mgf", value.real, s=args.s)]
+    return [_row(net.subset_name(mask), "mgf", value.real, s=args.s)]
 
 
 def cmd_cdf(args):
     net = _load_network(args.net)
     mask = _parse_subset_expr(net, args.node)
-    name = _subset_name(net, mask)
+    name = net.subset_name(mask)
     try:
         start, stop, step = (float(x) for x in args.d_grid.split(":"))
     except ValueError as exc:
@@ -202,13 +195,13 @@ def cmd_cdf(args):
     if args.samples is None:
         raise AoiError("--method sample requires --samples")
     seed = _seed_of(args)
-    batch, sub_mask = sampler_mod.sample_subset(
+    batch = sampler_mod.sample_subset(
         net, mask, args.samples, sampler_mod.RngPolicy(seed)
     )
     n = args.samples
     rows = []
     for d in grid:
-        value = sampler_mod.empirical_cdf(batch, sub_mask, d)
+        value = sampler_mod.empirical_cdf(batch, 1, d)
         stderr = (value * (1.0 - value) / n) ** 0.5
         rows.append(_row(name, "cdf-sample", value, stderr, d=d, n=n, seed=seed))
     return rows
@@ -218,7 +211,7 @@ def cmd_chernoff(args):
     net = _load_network(args.net)
     mask = _parse_subset_expr(net, args.node)
     value = exact_mod.chernoff_bound(net, mask, args.d)
-    return [_row(_subset_name(net, mask), "chernoff", value, d=args.d)]
+    return [_row(net.subset_name(mask), "chernoff", value, d=args.d)]
 
 
 def cmd_sample(args):
@@ -285,20 +278,18 @@ def cmd_cascade(args):
 def _simulated_mean(net, mask: int, cfg) -> tuple[float, float]:
     """Time-averaged age of subset ``mask`` and its stderr from one run.
 
-    The run solves only the nodes that reach the subset, and its result
-    lists only the subset's nodes.  ``compare`` runs it beside the sampler,
-    so its change logs and the sampled column are in memory at once.
+    The run solves only the nodes that reach the subset, and its result has
+    one column, the subset's age.  ``compare`` runs it beside the sampler,
+    so its change log and the sampled column are in memory at once.
     """
     res = sim_mod.simulate(net, cfg, target=mask)
-    if len(res.node_names) == 1:
-        return sim_mod.time_average(res, 0), sim_mod.time_average_stderr(res, 0)
-    return sim_mod.subset_time_average(res, (1 << len(res.node_names)) - 1)
+    return sim_mod.time_average(res, 0), sim_mod.time_average_stderr(res, 0)
 
 
 def cmd_compare(args):
     net = _load_network(args.net)
     mask = _parse_subset_expr(net, args.node)
-    name = _subset_name(net, mask)
+    name = net.subset_name(mask)
     seed = _seed_of(args)
 
     exact_val = exact_mod.average_age(net, mask)
@@ -308,12 +299,12 @@ def cmd_compare(args):
     with ThreadPoolExecutor(max_workers=1) as pool:
         simulated = pool.submit(_simulated_mean, net, mask, cfg)
         try:
-            batch, sub_mask = sampler_mod.sample_subset(
+            batch = sampler_mod.sample_subset(
                 net, mask, args.samples, sampler_mod.RngPolicy(seed)
             )
         finally:
             sim_val, sim_se = simulated.result()
-    samp, samp_se = sampler_mod.estimate(batch, sub_mask)
+    samp, samp_se = sampler_mod.estimate(batch, 1)
 
     gate_sampler = abs(samp - exact_val) <= 4.0 * samp_se
     gate_sim = abs(sim_val - exact_val) <= 4.0 * sim_se

@@ -446,13 +446,16 @@ def _bound(plan, lam: float) -> float:
 def mgf(net: AugmentedNetwork, a: int, s: complex) -> complex:
     """E[exp(s * age)] of subset ``a`` via the boundary-cut recursion.
 
-    Raises :class:`OutsideConvergenceRegion` when ``Re(s)`` is not below
-    the plan's convergence bound (:func:`_bound`), and
+    Raises :class:`ValueError` when ``s`` has a NaN part,
+    :class:`OutsideConvergenceRegion` when ``Re(s)`` is not below the
+    plan's convergence bound (:func:`_bound`), and
     :class:`IntegralOverflow` when the value is not finite there, as close
     below the bound of a long chain.
     """
     plan = _cut_plan(net, a)
     z = complex(s)
+    if cmath.isnan(z):
+        raise ValueError(f"s must not be NaN, got {s}")
     bound = _bound(plan, net.lam)
     if z.real >= bound:
         raise OutsideConvergenceRegion(

@@ -140,6 +140,13 @@ class AugmentedNetwork:
             self.node_names[i] for i in range(self.n_user) if mask >> i & 1
         )
 
+    def subset_name(self, mask: int) -> str:
+        """The subset's label, or its labels as ``{a,b}`` when it has several."""
+        labels = self.subset_labels(mask)
+        if len(labels) == 1:
+            return labels[0]
+        return "{" + ",".join(labels) + "}"
+
 
 def parse_network(text: str) -> NetworkSpec:
     """Parse the JSON network format into a :class:`NetworkSpec`.

@@ -224,21 +224,18 @@ def sample_ages(
     return SampleBatch(ages=ages)
 
 
-def sample_subset(
-    net: AugmentedNetwork, a: int, n: int, rng: RngPolicy
-) -> tuple[SampleBatch, int]:
+def sample_subset(net: AugmentedNetwork, a: int, n: int, rng: RngPolicy) -> SampleBatch:
     """Draw ``n`` replicates of subset ``a``'s age over the nodes that reach it.
 
     Returns the one-column :func:`sample_ages` batch of
     :func:`~aoinet.network.ancestor_network` of ``a`` streamed to ``a``'s
-    age, and its mask ``1``.  Its edges keep their streams, so
-    :func:`estimate` and :func:`empirical_cdf` of that mask equal those of
+    age; mask ``1`` selects that column.  Its edges keep their streams, so
+    :func:`estimate` and :func:`empirical_cdf` of mask ``1`` equal those of
     ``a`` over :func:`sample_ages` of ``net`` bit for bit, with fewer draws
     and one value per replicate.
     """
     sub = ancestor_network(net, a)
-    subset = sub.subset_mask(net.subset_labels(a))
-    return sample_ages(sub, n, rng, subset=subset), 1
+    return sample_ages(sub, n, rng, subset=sub.subset_mask(net.subset_labels(a)))
 
 
 def _subset_ages(batch: SampleBatch, a: int) -> np.ndarray:
@@ -278,5 +275,10 @@ def estimate(
 
 
 def empirical_cdf(batch: SampleBatch, a: int, d: float) -> float:
-    """Fraction of replicates with subset age <= d."""
+    """Fraction of replicates with subset age <= d.
+
+    A NaN ``d`` raises :class:`ValueError`; any other ``d`` is a threshold.
+    """
+    if math.isnan(d):
+        raise ValueError("threshold d must not be NaN")
     return float((_subset_ages(batch, a) <= d).mean())

@@ -21,10 +21,13 @@ that a cumulative rate splits.
 A run for one target subset (``simulate(..., target=mask)``, as ``compare``
 makes) draws the same event stream, but solves births only for the nodes
 that reach the target: the events into them are the only ones whose values
-can arrive there.  It integrates only the target's own nodes, so its result
-lists just those, and every value it reports is bit-identical to the
-whole-network run's.  Independent runs with different seeds may execute in
-parallel.  Results are immutable.
+can arrive there.  It reports one column, the target's own age: the subset's
+age is the minimum over its nodes, so its birth is the maximum of theirs,
+and its change log merges theirs.  A whole-network run reports one column
+per node, each merged from that node alone, so both kinds of run integrate
+through the same step, and the target run's values are bit-identical to
+the same merge of the whole run's logs.  Independent runs with different
+seeds may execute in parallel.  Results are immutable.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    EmptySubset,
     EmptyWindow,
     IntegralOverflow,
     IntegralUnderflow,
@@ -68,26 +70,42 @@ class SimConfig:
 class SimResult:
     """Exact time integrals of the age trajectories over the kept window.
 
-    The arrays index ``node_names``: every node of the network, or only the
-    target's nodes when the run had a ``target``.
+    The arrays index ``node_names``: one column per node of the network, or
+    one column for the subset when the run had a ``target``, named as
+    :meth:`~aoinet.network.AugmentedNetwork.subset_name` names it (``v7``,
+    ``{v6,v7}``).  A column's change log holds time 0 and every event that
+    moves one of its nodes' births, with the column's birth (the largest of
+    its nodes') from then on.  An event that moves a node but not that
+    maximum keeps its point, so a target log is as long as its nodes' logs
+    together, less their shared time 0.
     """
 
     node_names: tuple[str, ...]
     window_start: float
     window_length: float
     events_used: int
-    integral_age: np.ndarray  # (V,)
-    occupancy: dict[float, np.ndarray]  # threshold -> (V,) time with age >= d
-    batch_means: np.ndarray  # (N_BATCHES, V) per-batch time averages
+    integral_age: np.ndarray  # (columns,)
+    occupancy: dict[float, np.ndarray]  # threshold -> (columns,) time with age >= d
+    batch_means: np.ndarray  # (N_BATCHES, columns) per-batch time averages
     # birth change logs, kept for exact joint-trajectory queries
     change_times: tuple[np.ndarray, ...] = field(repr=False)
     change_births: tuple[np.ndarray, ...] = field(repr=False)
-    end_time: float = 0.0
 
     def node_index(self, v) -> int:
-        if isinstance(v, str):
+        """The column of ``v``: one of ``node_names``, or an index into them.
+
+        Raises :class:`KeyError` for anything else, a negative index, a
+        bool or a float among them.
+        """
+        if isinstance(v, str) and v in self.node_names:
             return self.node_names.index(v)
-        return int(v)
+        if (
+            isinstance(v, (int, np.integer))
+            and not isinstance(v, bool)
+            and 0 <= v < len(self.node_names)
+        ):
+            return int(v)
+        raise KeyError(f"no column {v!r} among {self.node_names}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # refused below instead
@@ -316,6 +334,22 @@ def _write_trace(
             trace.writerow([i, f"{t:.9g}", labels[e]] + [f"{t - x:.9g}" for x in birth])
 
 
+def _subset_log(
+    logs: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The change log of a subset's birth from its nodes' ``(times, births)`` logs.
+
+    The subset's birth is the largest of its nodes' births, so it can move
+    only at their change points; every one of them is kept, and a one-node
+    log is returned as it is.
+    """
+    times = np.unique(np.concatenate([t for t, _ in logs]))
+    births = np.maximum.reduce(
+        [b[np.searchsorted(t, times, side="right") - 1] for t, b in logs]
+    )
+    return times, births
+
+
 def simulate(
     net: AugmentedNetwork,
     cfg: SimConfig,
@@ -325,28 +359,32 @@ def simulate(
 ) -> SimResult:
     """Run ``cfg.total_events`` ring events and integrate the kept window.
 
-    ``thresholds`` must be fixed here so occupancies accumulate in one pass.
-    ``trace_path`` receives one CSV row per event with every node's age.
-    With a ``target`` subset mask, the same events are drawn, but only the
-    nodes that reach the target are solved and only the target's nodes are
-    integrated and listed in the result; their values are those of the
-    whole-network run.  A target cannot be combined with a trace, which
-    lists every node (:class:`ValueError`); a bad target is refused as by
-    :func:`~aoinet.network.ancestors`.  Raises
+    ``thresholds`` must be fixed here so occupancies accumulate in one pass;
+    a negative or NaN one raises :class:`ValueError` before any event is
+    drawn.  ``trace_path`` receives one CSV row per event with every node's
+    age.  With a ``target`` subset mask, the same events are drawn, but only
+    the nodes that reach the target are solved, and the result has one
+    column, the target's age (its nodes' minimum).  A target cannot be
+    combined with a trace, which lists every node (:class:`ValueError`); a
+    bad target is refused as by :func:`~aoinet.network.ancestors`.  Raises
     :class:`InvalidInitialAge` for an initial age of an unknown node or one
     that is negative or not finite.
     """
     thresholds = tuple(float(d) for d in thresholds)
+    if not all(d >= 0.0 for d in thresholds):  # NaN too
+        raise ValueError(f"thresholds must be non-negative, got {thresholds}")
     n_events = cfg.total_events
     start = _start_births(net, cfg.initial_ages)
     if target is None:
         nodes = list(range(net.n_user))
-        report = nodes
+        columns = [[v] for v in nodes]
+        names = net.node_names
     else:
         if trace_path is not None:
             raise ValueError("a trace lists every node; it cannot have a target")
         nodes = sorted(ancestors(net, target))
-        report = [v for v in nodes if target >> v & 1]
+        columns = [[v for v in nodes if target >> v & 1]]
+        names = (net.subset_name(target),)
     rng = np.random.default_rng(cfg.master_seed)
 
     times = rng.exponential(scale=1.0 / net.total_rate, size=n_events)
@@ -359,45 +397,42 @@ def simulate(
     if trace_path is not None:
         _write_trace(trace_path, net, times, picks, events, births)
 
-    # change logs of the reported nodes: time 0 and every event that moves
-    # the node's birth
-    cts, cbs = [], []
     pos = {v: k for k, v in enumerate(nodes)}
-    for v in report:
+
+    def node_log(v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Time 0 and every event that moves node ``v``'s birth, with its births."""
         ev, b = events[pos[v]], births[pos[v]]
         moved = np.flatnonzero(b[1:] != b[:-1])
-        cts.append(np.concatenate(([0.0], times[ev[moved]])))
-        cbs.append(np.concatenate((b[:1], b[1:][moved])))
-    cts, cbs = tuple(cts), tuple(cbs)
+        return np.concatenate(([0.0], times[ev[moved]])), np.concatenate(
+            (b[:1], b[1:][moved])
+        )
+
+    logs = [_subset_log([node_log(v) for v in members]) for members in columns]
 
     events_used = kept_events(cfg)
     burn = n_events - events_used
     t0 = float(times[burn - 1]) if burn > 0 else 0.0
     t_end = float(times[-1])
-    window = t_end - t0
 
-    n = len(report)
+    n = len(columns)
     integral = np.zeros(n)
     occupancy = {d: np.zeros(n) for d in thresholds}
     batch_means = np.zeros((N_BATCHES, n))
-    for v in range(n):
-        integral[v], occ, batch_means[:, v] = _integrate(
-            cts[v], cbs[v], t0, t_end, thresholds
-        )
+    for k, (t, b) in enumerate(logs):
+        integral[k], occ, batch_means[:, k] = _integrate(t, b, t0, t_end, thresholds)
         for d, x in zip(thresholds, occ):
-            occupancy[d][v] = x
+            occupancy[d][k] = x
 
     return SimResult(
-        node_names=tuple(net.node_names[v] for v in report),
+        node_names=names,
         window_start=t0,
-        window_length=window,
+        window_length=t_end - t0,
         events_used=events_used,
         integral_age=integral,
         occupancy=occupancy,
         batch_means=batch_means,
-        change_times=cts,
-        change_births=cbs,
-        end_time=t_end,
+        change_times=tuple(t for t, _ in logs),
+        change_births=tuple(b for _, b in logs),
     )
 
 
@@ -425,11 +460,6 @@ def check_batches(events_used: int) -> None:
         )
 
 
-def _check_batches(res: SimResult) -> None:
-    _check_window(res)
-    check_batches(res.events_used)
-
-
 def _batch_stderr(batch_means: np.ndarray) -> float:
     """Standard error of the mean of ``N_BATCHES`` batch means.
 
@@ -449,7 +479,8 @@ def time_average_stderr(res: SimResult, v) -> float:
     than there are batches, and :class:`IntegralUnderflow` when the batch
     means' variance underflows.
     """
-    _check_batches(res)
+    _check_window(res)
+    check_batches(res.events_used)
     return _batch_stderr(res.batch_means[:, res.node_index(v)])
 
 
@@ -462,49 +493,3 @@ def violation_fraction(res: SimResult, v, d: float) -> float:
             f"threshold {d} was not requested at simulate time"
         )
     return float(res.occupancy[d][res.node_index(v)] / res.window_length)
-
-
-def subset_time_average(res: SimResult, mask: int) -> tuple[float, float]:
-    """Time-averaged age of a node subset, with its batch-means stderr.
-
-    The subset's age is the minimum over its nodes, so its birth at any time
-    is the maximum of theirs; it changes only at their change points.
-    ``mask`` indexes ``res.node_names``, which for a run with a target are
-    the target's nodes only; a bit beyond them raises :class:`KeyError`.
-    Raises :class:`TooFewEvents` like :func:`time_average_stderr`.
-    """
-    _check_batches(res)
-    if mask >> len(res.node_names):
-        raise KeyError(
-            f"subset mask {mask:#x} has bits beyond the {len(res.node_names)} "
-            "nodes of the result"
-        )
-    idx = [i for i in range(len(res.node_names)) if mask >> i & 1]
-    if not idx:
-        raise EmptySubset("subset must be non-empty")
-    cuts, births = _merged_births(res, idx)
-    integral, _, batch_means = _integrate(
-        cuts[:-1], np.maximum.reduce(births), res.window_start, res.end_time, ()
-    )
-    return float(integral / res.window_length), _batch_stderr(batch_means)
-
-
-def _merged_births(
-    res: SimResult, idx: list[int]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Merged window change points of nodes ``idx``, and their births.
-
-    ``births[k][j]`` is node ``idx[k]``'s birth from ``cuts[j]`` to
-    ``cuts[j + 1]``.
-    """
-    cuts = np.unique(
-        np.concatenate(
-            [res.change_times[i] for i in idx] + [[res.window_start, res.end_time]]
-        )
-    )
-    cuts = cuts[(cuts >= res.window_start) & (cuts <= res.end_time)]
-    births = []
-    for i in idx:
-        k = np.searchsorted(res.change_times[i], cuts[:-1], side="right") - 1
-        births.append(res.change_births[i][k])
-    return cuts, births

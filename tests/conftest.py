@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aoinet import exact, parse_network, validate_ssn
+from aoinet import exact, parse_network, simulator, validate_ssn
 
 
 def net_json(lam, source, edges, nodes=None):
@@ -206,6 +206,62 @@ def chernoff_scan(net, mask, d):
             f2 = log_obj(x2)
     best = min(min(vals), f1, f2)
     return min(1.0, math.exp(best))
+
+
+def merged_log(whole, labels):
+    """Subset ``labels``' birth change log, merged in Python from a whole run's.
+
+    Walks every change point of the subset's nodes in time order and keeps
+    each, with the largest of the nodes' births from there on: the subset's
+    age is the smallest of theirs.
+    """
+    points = sorted(
+        (t, k, b)
+        for k, v in enumerate(labels)
+        for t, b in zip(
+            whole.change_times[whole.node_index(v)].tolist(),
+            whole.change_births[whole.node_index(v)].tolist(),
+        )
+    )
+    current = {}
+    times, births = [], []
+    for t, k, b in points:
+        current[k] = b
+        if len(current) < len(labels):  # time 0, not every node read yet
+            continue
+        if times and times[-1] == t:
+            births[-1] = max(current.values())
+        else:
+            times.append(t)
+            births.append(max(current.values()))
+    return np.array(times), np.array(births)
+
+
+def last_event_time(net, cfg):
+    """The time of a run's last event, drawn as ``simulate`` draws it."""
+    rng = np.random.default_rng(cfg.master_seed)
+    gaps = rng.exponential(scale=1.0 / net.total_rate, size=cfg.total_events)
+    return float(np.cumsum(gaps)[-1])
+
+
+def merged_subset_values(net, cfg, whole, labels, thresholds=()):
+    """Mean, stderr and violation fractions of subset ``labels`` in a whole run.
+
+    Integrates :func:`merged_log` over the whole run's kept window with the
+    simulator's own ``_integrate``.
+    """
+    integral, occupancy, batch_means = simulator._integrate(
+        *merged_log(whole, labels),
+        whole.window_start,
+        last_event_time(net, cfg),
+        tuple(thresholds),
+    )
+    length = whole.window_length
+    return (
+        float(integral / length),
+        simulator._batch_stderr(batch_means),
+        [float(x / length) for x in occupancy],
+    )
 
 
 # filled by the acceptance suite; echoed after the test summary so the

@@ -35,6 +35,8 @@ def test_every_public_name_resolves_once():
         "Functional",  # estimate takes any callable of the ages
         "MgfQuery",  # mgf and chernoff_bound take the subset and s or d
         "TailQuery",
+        "subset_time_average",  # a target run's one column is the subset's age
+        "end_time",  # window_start and window_length bound the kept window
     ],
 )
 def test_library_only_names_are_gone(name):

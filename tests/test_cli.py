@@ -16,7 +16,7 @@ import pytest
 import aoinet as a
 from aoinet import cli, sampler
 from aoinet.cli import main
-from conftest import net_json, random_ssn
+from conftest import merged_subset_values, net_json, random_ssn
 
 
 @pytest.fixture
@@ -664,7 +664,8 @@ def test_one_target_commands_match_the_full_batch(capsys, tmp_path):
     n = 70_000
     events = 50_000
     batch = a.sample_ages(net, n, a.RngPolicy(5))
-    whole = a.simulate(net, a.SimConfig(total_events=events, master_seed=5))
+    cfg = a.SimConfig(total_events=events, master_seed=5)
+    whole = a.simulate(net, cfg)
     grid = np.arange(0.0, 4.25, 0.5)
     for target in [f"v{i}" for i in range(8)] + ["{v6,v7}"]:
         labels = target.strip("{}").split(",")
@@ -677,13 +678,7 @@ def test_one_target_commands_match_the_full_batch(capsys, tmp_path):
         rows = {r["method"]: r for r in rows_of(out)}
         want = a.estimate(batch, mask)
         assert (rows["sample"]["value"], rows["sample"]["stderr"]) == want
-        if len(labels) == 1:
-            want = (
-                a.time_average(whole, target),
-                a.time_average_stderr(whole, target),
-            )
-        else:
-            want = a.subset_time_average(whole, mask)
+        want = merged_subset_values(net, cfg, whole, labels)[:2]
         assert (rows["simulate"]["value"], rows["simulate"]["stderr"]) == want
         code, out, _ = run_cli(
             capsys, "cdf", *common, "--d-grid", "0:4:0.5", "--method", "sample",
@@ -743,14 +738,11 @@ def test_compare_independent_of_cpu_count(capsys, monkeypatch, tmp_path, target)
         sys.setswitchinterval(interval)
     assert outs[0] == outs[1] == outs[2]
     rows = {r["method"]: r for r in rows_of(outs[0])}
-    batch, sub_mask = a.sample_subset(net, mask, n, a.RngPolicy(seed))
-    want = a.estimate(batch, sub_mask)
+    want = a.estimate(a.sample_subset(net, mask, n, a.RngPolicy(seed)), 1)
     assert (rows["sample"]["value"], rows["sample"]["stderr"]) == want
-    whole = a.simulate(net, a.SimConfig(total_events=events, master_seed=seed))
-    if mask & (mask - 1):
-        want = a.subset_time_average(whole, mask)
-    else:
-        want = (a.time_average(whole, target), a.time_average_stderr(whole, target))
+    cfg = a.SimConfig(total_events=events, master_seed=seed)
+    whole = a.simulate(net, cfg)
+    want = merged_subset_values(net, cfg, whole, net.subset_labels(mask))[:2]
     assert (rows["simulate"]["value"], rows["simulate"]["stderr"]) == want
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import aoinet as a
@@ -95,6 +96,28 @@ class TestTriangleMinTail:
             assert vals[0] == pytest.approx(1.0)
             assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
             assert vals[-1] < 1e-6
+
+    @pytest.mark.parametrize(
+        "rates", [(1.0, 1.0, 2.0, 3.0), (2.0, 0.5, 3.0, 1.0), (0.7, 1.3, 1.3, 0.4)]
+    )
+    def test_convolved_with_generation_is_cdf_grid(self, rates):
+        # age_d = X + M with X ~ Exp(lam) independent of the path minimum M,
+        # so Pr[age_d <= d] = int_0^d lam e^{-lam t} (1 - S_M(d - t)) dt
+        import scipy.integrate as si
+
+        r = TriangleRates(*rates)
+        net = triangle(*rates)
+        grid = np.arange(0.0, 4.0 + 0.125, 0.25)
+        got = a.cdf_grid(net, net.subset_mask(["d"]), grid)
+        for d, value in zip(grid, got):
+            want, _ = si.quad(
+                lambda t: r.lam
+                * math.exp(-r.lam * t)
+                * (1.0 - a.triangle_min_tail(r, d - t)),
+                0.0,
+                d,
+            )
+            assert value == pytest.approx(want, abs=1e-12)
 
     def test_integral_recovers_mean_shift(self):
         # integral of the survival function is E[min path], which is the

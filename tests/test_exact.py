@@ -182,6 +182,12 @@ class TestMgf:
         with pytest.raises(errors.OutsideConvergenceRegion):
             a.mgf(two, d, 1.0)
 
+    def test_nan_argument_rejected(self, tri):
+        d = tri.subset_mask(["d"])
+        for s in (math.nan, complex(0.1, math.nan), complex(math.nan, 1.0)):
+            with pytest.raises(ValueError, match="NaN"):
+                a.mgf(tri, d, s)
+
     def test_complex_argument_allowed(self, two):
         d = two.subset_mask(["d"])
         val = a.mgf(two, d, 2.0j)

@@ -114,6 +114,13 @@ def test_theta_prime_indexing():
     assert net.edge_rates[-1] == net.lam
 
 
+def test_subset_name_is_one_label_or_a_braced_list(tri):
+    # the name every report row and a target run's column carry
+    assert tri.subset_name(tri.subset_mask(["d"])) == "d"
+    assert tri.subset_name(tri.subset_mask(["d", "v"])) == "{v,d}"
+    assert tri.subset_name(0b111) == "{s,v,d}"
+
+
 def boundary_rate(net, mask):
     """Rate sum into ``mask`` from outside it: lambda if it holds the source,
     else the top entry of its cut plan."""

@@ -140,6 +140,8 @@ def test_empirical_cdf_extremes(tri):
     d = tri.subset_mask(["d"])
     assert a.empirical_cdf(batch, d, -1.0) == 0.0
     assert a.empirical_cdf(batch, d, float("inf")) == 1.0
+    with pytest.raises(ValueError):
+        a.empirical_cdf(batch, d, math.nan)
 
 
 def test_empirical_cdf_erlang(two):
@@ -291,8 +293,8 @@ def test_subset_sample_matches_batch_estimate(tri):
     n = 100_000
     rng = a.RngPolicy(16)
     batch_est = a.estimate(a.sample_ages(tri, n, rng), d)
-    sub, sub_d = a.sample_subset(tri, d, n, rng)
-    assert a.estimate(sub, sub_d) == batch_est
+    sub = a.sample_subset(tri, d, n, rng)
+    assert a.estimate(sub, 1) == batch_est
 
 
 @pytest.mark.parametrize(
@@ -305,13 +307,13 @@ def test_pruned_sample_is_the_batch_column(target):
     n = CHUNK + 3
     rng = a.RngPolicy(26)
     batch = a.sample_ages(net, n, rng)
-    sub, sub_mask = a.sample_subset(net, mask, n, rng)
-    assert sub.ages.shape == (n, 1) and sub_mask == 1
+    sub = a.sample_subset(net, mask, n, rng)
+    assert isinstance(sub, a.SampleBatch) and sub.ages.shape == (n, 1)
     assert np.array_equal(sub.ages[:, 0], sampler._subset_ages(batch, mask))
     for f in (None, lambda x: x**2):
-        assert a.estimate(sub, sub_mask, f) == a.estimate(batch, mask, f)
+        assert a.estimate(sub, 1, f) == a.estimate(batch, mask, f)
     for d in (0.25, 1.0, 2.5, 4.0):
-        pruned = a.empirical_cdf(sub, sub_mask, d)
+        pruned = a.empirical_cdf(sub, 1, d)
         assert pruned == a.empirical_cdf(batch, mask, d)
 
 
@@ -322,14 +324,13 @@ def test_streamed_subset_independent_of_workers(monkeypatch, target):
     n = 2 * CHUNK + 5
     rng = a.RngPolicy(27)
     monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
-    base, base_mask = a.sample_subset(net, mask, n, rng)
+    base = a.sample_subset(net, mask, n, rng)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, more of them than CPUs
     try:
         for workers in (2, 3):
             monkeypatch.setattr(sampler, "_usable_cpus", lambda: workers)
-            other, other_mask = a.sample_subset(net, mask, n, rng)
-            assert other_mask == base_mask
+            other = a.sample_subset(net, mask, n, rng)
             assert np.array_equal(other.ages, base.ages)
     finally:
         sys.setswitchinterval(interval)
@@ -362,8 +363,8 @@ def test_workers_default_to_the_usable_cpus(monkeypatch, tri):
 
 def test_one_column_subset_ages_are_a_view(tri):
     d = tri.subset_mask(["d"])
-    sub, sub_d = a.sample_subset(tri, d, 100, a.RngPolicy(29))
-    col = sampler._subset_ages(sub, sub_d)
+    sub = a.sample_subset(tri, d, 100, a.RngPolicy(29))
+    col = sampler._subset_ages(sub, 1)
     assert col.base is sub.ages and col.flags.c_contiguous
     with pytest.raises(errors.SubsetContainsVirtualSource):
         sampler._subset_ages(sub, 0b10)
@@ -387,7 +388,7 @@ def test_overflowing_moments_raise():
         with pytest.raises(errors.IntegralOverflow):
             a.estimate(batch, d)
         with pytest.raises(errors.IntegralOverflow):
-            a.estimate(*a.sample_subset(net, d, 1000, rng))
+            a.estimate(a.sample_subset(net, d, 1000, rng), 1)
         est, stderr = a.estimate(a.sample_ages(net, 1, rng), d)
     assert math.isfinite(est) and stderr == math.inf
 
@@ -402,7 +403,7 @@ def test_underflowing_variance_raises():
         with pytest.raises(errors.IntegralUnderflow):
             a.estimate(a.sample_ages(net, 1000, rng), d)
         with pytest.raises(errors.IntegralUnderflow):
-            a.estimate(*a.sample_subset(net, d, 1000, rng))
+            a.estimate(a.sample_subset(net, d, 1000, rng), 1)
         # a zero variance of equal values is exact, not an underflow
         est, stderr = a.estimate(
             a.sample_ages(net, 1000, rng), d, lambda x: (x >= 0.0).astype(float)

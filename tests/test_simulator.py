@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,15 @@ import aoinet as a
 from aoinet import errors
 from aoinet.network import ancestor_network
 from aoinet.simulator import _picks
-from conftest import random_ssn, triangle, triangle_chain, two_node
+from conftest import (
+    last_event_time,
+    merged_log,
+    merged_subset_values,
+    random_ssn,
+    triangle,
+    triangle_chain,
+    two_node,
+)
 
 
 def run(net, events, seed, **kw):
@@ -65,7 +74,7 @@ def test_empty_window():
     assert a.time_average(res, "d") > 0.0
     broken = a.SimResult(
         node_names=res.node_names,
-        window_start=res.end_time,
+        window_start=res.window_start,
         window_length=0.0,
         events_used=0,
         integral_age=res.integral_age,
@@ -73,7 +82,6 @@ def test_empty_window():
         batch_means=res.batch_means,
         change_times=res.change_times,
         change_births=res.change_births,
-        end_time=res.end_time,
     )
     with pytest.raises(errors.EmptyWindow):
         a.time_average(broken, "d")
@@ -223,7 +231,7 @@ def test_same_seed_reproducible(tri):
     r1 = run(tri, 20_000, 10)
     r2 = run(tri, 20_000, 10)
     assert np.array_equal(r1.integral_age, r2.integral_age)
-    assert r1.end_time == r2.end_time
+    assert r1.window_length == r2.window_length
 
 
 def test_agrees_with_exact_recursion(tri_distinct):
@@ -243,8 +251,8 @@ def test_violation_matches_inversion(tri):
     assert abs(sim_tail - (1.0 - cdf)) < 0.01
 
 
-def integral_age_sq(res, v):
-    """Integral of node ``v``'s squared age over the kept window.
+def integral_age_sq(res, v, t_end):
+    """Integral of node ``v``'s squared age over the kept window, ending at ``t_end``.
 
     Read from the birth change log: the age is ``t - birth`` between
     change points, so each segment adds the difference of cubes over 3.
@@ -252,7 +260,7 @@ def integral_age_sq(res, v):
     i = res.node_index(v)
     times, births = res.change_times[i], res.change_births[i]
     s = np.maximum(times, res.window_start)
-    e = np.minimum(np.append(times[1:], res.end_time), res.end_time)
+    e = np.minimum(np.append(times[1:], t_end), t_end)
     keep = e > s
     a1, a2 = s[keep] - births[keep], e[keep] - births[keep]
     return float(np.sum(a2**3 - a1**3) / 3.0)
@@ -260,8 +268,9 @@ def integral_age_sq(res, v):
 
 def test_second_moment_two_node(two):
     # stationary age at d is Erlang(2, 1); second moment 6
-    res = run(two, 2_000_000, 13)
-    m2 = integral_age_sq(res, "d") / res.window_length
+    cfg = a.SimConfig(total_events=2_000_000, master_seed=13)
+    res = a.simulate(two, cfg)
+    m2 = integral_age_sq(res, "d", last_event_time(two, cfg)) / res.window_length
     assert m2 == pytest.approx(6.0, rel=0.05)
 
 
@@ -309,30 +318,21 @@ def test_trace_file_closed_when_run_fails(tmp_path, tri, monkeypatch):
     assert len(opened) == 1 and opened[0].closed
 
 
-def test_subset_time_average_singleton_matches_node(tri):
-    res = run(tri, 20_000, 16)
-    for v in tri.node_names:
-        mean, se = a.subset_time_average(res, tri.subset_mask([v]))
-        assert mean == pytest.approx(a.time_average(res, v), rel=1e-12)
-        assert se == pytest.approx(a.time_average_stderr(res, v), rel=1e-9)
-    with pytest.raises(errors.EmptySubset):
-        a.subset_time_average(res, 0)
-
-
 def test_thin_window_refuses_stderr(tri):
     # 3 kept events cannot fill the 32 batch means behind the stderr
     res = a.simulate(tri, a.SimConfig(total_events=3, master_seed=17))
     assert a.time_average(res, "d") > 0.0
     with pytest.raises(errors.TooFewEvents):
         a.time_average_stderr(res, "d")
+    vd = tri.subset_mask(["v", "d"])
+    thin = a.simulate(tri, a.SimConfig(total_events=3, master_seed=17), target=vd)
     with pytest.raises(errors.TooFewEvents):
-        a.subset_time_average(res, tri.subset_mask(["v", "d"]))
-    full = a.simulate(
-        tri, a.SimConfig(total_events=32, master_seed=17, burn_in_fraction=0.0)
-    )
+        a.time_average_stderr(thin, 0)
+    cfg = a.SimConfig(total_events=32, master_seed=17, burn_in_fraction=0.0)
+    full = a.simulate(tri, cfg)
     assert full.events_used == 32
     assert a.time_average_stderr(full, "d") > 0.0
-    a.subset_time_average(full, tri.subset_mask(["v", "d"]))
+    assert a.time_average_stderr(a.simulate(tri, cfg, target=vd), 0) > 0.0
 
 
 @pytest.mark.parametrize("rate", [1e-300, 1e-155])
@@ -363,8 +363,9 @@ def test_underflowing_integrals_raise():
         assert a.time_average(res, "d") == pytest.approx(1.75e-154, rel=0.5)
         with pytest.raises(errors.IntegralUnderflow):
             a.time_average_stderr(res, "d")
+        vd = run(net, 1000, 3, target=net.subset_mask(["v", "d"]))
         with pytest.raises(errors.IntegralUnderflow):
-            a.subset_time_average(res, net.subset_mask(["v", "d"]))
+            a.time_average_stderr(vd, 0)
         # ages near 1e-110: the squares stay normal floats, so mean and
         # stderr are computed
         for rate in (1e110, 1e90):
@@ -374,24 +375,36 @@ def test_underflowing_integrals_raise():
 
 
 def assert_target_matches_whole_run(net, cfg, target, thresholds=(1.0, 2.0)):
+    # the target run's one column is its nodes' logs merged, and its values
+    # integrate that log over the whole run's window
     whole = a.simulate(net, cfg, thresholds=thresholds)
     res = a.simulate(net, cfg, thresholds=thresholds, target=target)
-    assert res.node_names == net.subset_labels(target)
+    labels = net.subset_labels(target)
+    name = net.subset_name(target)
+    assert res.node_names == (name,)
     assert res.window_start == whole.window_start
     assert res.window_length == whole.window_length
     assert res.events_used == whole.events_used
-    assert res.end_time == whole.end_time
-    for name in res.node_names:
-        assert a.time_average(res, name) == a.time_average(whole, name)
-        assert a.time_average_stderr(res, name) == a.time_average_stderr(whole, name)
-        for d in thresholds:
-            assert a.violation_fraction(res, name, d) == a.violation_fraction(
-                whole, name, d
-            )
-    everything = (1 << len(res.node_names)) - 1
-    assert a.subset_time_average(res, everything) == a.subset_time_average(
-        whole, target
+    times, births = merged_log(whole, labels)
+    assert len(res.change_times) == len(res.change_births) == 1
+    assert np.array_equal(res.change_times[0], times)
+    assert np.array_equal(res.change_births[0], births)
+    # every node's change point is kept, so no count of changes moves
+    node_logs = [whole.change_times[whole.node_index(v)] for v in labels]
+    assert len(times) - 1 == sum(len(t) - 1 for t in node_logs)
+    mean, stderr, violations = merged_subset_values(
+        net, cfg, whole, labels, thresholds
     )
+    assert a.time_average(res, 0) == a.time_average(res, name) == mean
+    assert a.time_average_stderr(res, 0) == stderr
+    for d, want in zip(thresholds, violations):
+        assert a.violation_fraction(res, 0, d) == want
+    if len(labels) == 1:  # a one-node log is that node's own
+        assert np.array_equal(times, whole.change_times[whole.node_index(name)])
+        assert a.time_average(whole, name) == mean
+        assert a.time_average_stderr(whole, name) == stderr
+        for d, want in zip(thresholds, violations):
+            assert a.violation_fraction(whole, name, d) == want
 
 
 R8_TARGETS = [["v%d" % i] for i in range(8)] + [["v6", "v7"]]
@@ -446,13 +459,31 @@ def test_bad_target_refused_like_ancestor_network(tri, target):
         a.simulate(tri, cfg, target=target)
 
 
-def test_subset_mask_beyond_the_result_refused(tri):
+@pytest.mark.parametrize("key", [-1, 1, 1.7, 0.0, True, False, "v", "{d,v}", None])
+def test_node_index_refuses_what_names_no_column(tri, key):
+    # a target run has one column: its index 0 or its name, and nothing else
     cfg = a.SimConfig(total_events=1000, master_seed=24)
-    res = a.simulate(tri, cfg, target=tri.subset_mask(["d"]))
-    mean, _ = a.subset_time_average(res, 1)
-    assert mean == pytest.approx(a.time_average(res, "d"), rel=1e-12)
+    res = a.simulate(tri, cfg, target=tri.subset_mask(["v", "d"]))
+    for ok in (0, np.int64(0), "{v,d}"):
+        assert res.node_index(ok) == 0
+    for call in (res.node_index, lambda k: a.time_average(res, k)):
+        with pytest.raises(KeyError, match=re.escape(repr(key))):
+            call(key)
+    whole = a.simulate(tri, cfg)
+    assert whole.node_index("d") == whole.node_index(2) == 2
     with pytest.raises(KeyError):
-        a.subset_time_average(res, tri.subset_mask(["v", "d"]))
+        whole.node_index(3)
+
+
+@pytest.mark.parametrize("thresholds", [[math.nan], [1.0, -1.0], [-0.5]])
+def test_meaningless_thresholds_refused(monkeypatch, tri, thresholds):
+    def draw(*args):
+        raise AssertionError("an event was drawn")
+
+    monkeypatch.setattr(a.simulator, "_picks", draw)
+    cfg = a.SimConfig(total_events=100, master_seed=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        a.simulate(tri, cfg, thresholds=thresholds)
 
 
 @pytest.mark.parametrize("n_edges", [1, 2, 16, 300, 3000])
