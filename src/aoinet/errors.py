@@ -61,6 +61,10 @@ class EmptyWindow(AoiError):
     pass
 
 
+class WindowNotCoupled(AoiError):
+    """A simulated column has not heard the source by its kept window's start."""
+
+
 class IntegralOverflow(AoiError):
     """A window integral, batch mean, sample moment or MGF of ages is not finite."""
 

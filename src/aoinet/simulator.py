@@ -15,8 +15,15 @@ monotone fixpoint over its own event stream (``_births``), sweeping the
 nodes in breadth-first order until a sweep changes nothing; at most
 ``n_user`` sweeps change something.  The result is bit-identical to the
 sequential update.  Edges are picked from an exact bucket table of the
-cumulative rates (``_picks``), with a binary search only in the few buckets
+cumulative rates (``_picker``), with a binary search only in the few buckets
 that a cumulative rate splits.
+
+The events are solved in blocks of a fixed length (``_block_length``), each
+block from the births the one before it left, so memory does not hold every
+event's edge and solution at once.  A run keeps only the event times, which
+the stream draws before any edge, and the change logs of the nodes it
+reports; the logs are integrated after the last block, so every value is
+the one a single block would give, bit for bit.
 
 A run for one target subset (``simulate(..., target=mask)``, as ``compare``
 makes) draws the same event stream, but solves births only for the nodes
@@ -28,13 +35,22 @@ per node, each merged from that node alone, so both kinds of run integrate
 through the same step, and the target run's values are bit-identical to
 the same merge of the whole run's logs.  Independent runs with different
 seeds may execute in parallel.  Results are immutable.
+
+The readers refuse a column whose kept window starts before it first hears
+the source (:class:`~aoinet.errors.WindowNotCoupled`): births combine by
+max, and only packets of the run have births above 0, so a column whose
+birth at the window start is above 0 follows the stationary trajectory
+whatever the initial ages were, and one whose birth is not still carries
+them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +62,15 @@ from .errors import (
     InvalidInitialAge,
     ThresholdNotRequested,
     TooFewEvents,
+    WindowNotCoupled,
 )
 from .network import AugmentedNetwork, ancestors, bfs_order
 
 N_BATCHES = 32  # batch-means error bars over the post-burn-in window
+# a block solves at least BLOCK_EVENTS events, and BLOCK_EVENTS_PER_NODE per
+# solved node, so the per-node work of a block is spread over many events
+BLOCK_EVENTS = 1 << 16
+BLOCK_EVENTS_PER_NODE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -174,15 +195,16 @@ def _start_births(net: AugmentedNetwork, initial_ages) -> np.ndarray:
     return -ages
 
 
-def _picks(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cum, u, side="right")`` for ``u`` in [0, 1), overwriting ``u``.
+def _picker(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``u -> np.searchsorted(cum, u, side="right")`` for ``u`` in [0, 1), overwriting ``u``.
 
     ``u`` is scaled in place by K, a power of two with at least 64 buckets
     per entry of ``cum``, so ``floor(u * K)`` is exactly the bucket
     [b/K, (b + 1)/K) holding ``u``.  Where no entry of ``cum`` lies inside
-    the bucket, every ``u`` in it has the answer of b/K, read from a table;
-    the rest (at most one bucket per entry, so about 1/64 of the draws) are
-    searched.  The result has the smallest integer type that holds it.
+    the bucket, every ``u`` in it has the answer of b/K, read from a table
+    built once here; the rest (at most one bucket per entry, so about 1/64
+    of the draws) are searched.  The result has the smallest integer type
+    that holds it.
     """
     k = max(1024, 1 << (64 * len(cum) - 1).bit_length())
     edges = np.arange(k + 1) / k  # exact: k is a power of two
@@ -190,11 +212,15 @@ def _picks(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     split = len(cum) + 1  # marks a bucket with an entry of cum inside
     table[np.searchsorted(cum, edges[1:], side="left") > table] = split
     table = table.astype(np.min_scalar_type(split))
-    np.multiply(u, k, out=u)
-    p = table[u.astype(np.intp)]
-    at = np.flatnonzero(p == split)
-    p[at] = np.searchsorted(cum, u[at] / k, side="right")
-    return p
+
+    def picks(u: np.ndarray) -> np.ndarray:
+        np.multiply(u, k, out=u)
+        p = table[u.astype(np.intp)]
+        at = np.flatnonzero(p == split)
+        p[at] = np.searchsorted(cum, u[at] / k, side="right")
+        return p
+
+    return picks
 
 
 def _births(
@@ -214,7 +240,8 @@ def _births(
     is its birth after the first ``j`` of them (``births[k][0] =
     start[nodes[k]]``).  A ring of edge (u, v) sets v's birth to the larger
     of u's and v's; a ring of the virtual edge sets the source's birth to
-    the event time, which is the larger one because start births are <= 0.
+    the event time, which is the larger one because start births are no
+    later than the events: at most 0, or births an earlier block left.
     So each value is the running maximum of v's start birth and its
     incoming values, and an incoming value is the tail's birth just before
     the event.  The source hears only the virtual edge, so its births are
@@ -305,33 +332,41 @@ def _births(
     return events, births
 
 
+def _block_length(n_nodes: int) -> int:
+    """Events per block of a run that solves ``n_nodes`` nodes."""
+    return max(BLOCK_EVENTS, BLOCK_EVENTS_PER_NODE * n_nodes)
+
+
 def kept_events(cfg: SimConfig) -> int:
     """Events after the burn-in: the ones the kept window of a run holds."""
     return cfg.total_events - math.floor(cfg.burn_in_fraction * cfg.total_events)
 
 
 def _write_trace(
-    path: str,
+    trace,
     net: AugmentedNetwork,
+    first: int,
     times: np.ndarray,
     picks: np.ndarray,
     events: list[np.ndarray],
     births: list[np.ndarray],
 ) -> None:
-    """One CSV row per event: its index, time, edge and every node's age after it."""
+    """One CSV row per event of a block of a whole run, from event ``first`` on.
+
+    A row holds the event's index, time, edge and every node's age after
+    it.  ``births[v][0]`` is node v's birth before the block, the one the
+    previous block's rows ended with.
+    """
     labels = ["->".join(net.edge_key(e)) for e in range(len(net.edge_rates))]
     head_birth = np.empty(len(times))  # the head's birth after each event
     for ev, b in zip(events, births):
         head_birth[ev] = b[1:]
     birth = [float(b[0]) for b in births]
-    with open(path, "w", newline="") as fh:
-        trace = csv.writer(fh)
-        trace.writerow(["event", "time", "edge"] + list(net.node_names))
-        for i, (t, e, nb) in enumerate(
-            zip(times.tolist(), picks.tolist(), head_birth.tolist())
-        ):
-            birth[net.edge_heads[e]] = nb
-            trace.writerow([i, f"{t:.9g}", labels[e]] + [f"{t - x:.9g}" for x in birth])
+    for i, (t, e, nb) in enumerate(
+        zip(times.tolist(), picks.tolist(), head_birth.tolist()), first
+    ):
+        birth[net.edge_heads[e]] = nb
+        trace.writerow([i, f"{t:.9g}", labels[e]] + [f"{t - x:.9g}" for x in birth])
 
 
 def _subset_log(
@@ -387,27 +422,50 @@ def simulate(
         names = (net.subset_name(target),)
     rng = np.random.default_rng(cfg.master_seed)
 
+    # every gap comes before every uniform in the stream, so the times are
+    # drawn whole; a block's uniforms are the next ones, as one draw gives them
     times = rng.exponential(scale=1.0 / net.total_rate, size=n_events)
     np.cumsum(times, out=times)
-    cum = np.cumsum(net.edge_rates) / net.total_rate
-    picks = _picks(cum, rng.random(n_events))
-    np.clip(picks, 0, len(net.edge_rates) - 1, out=picks)
+    pick = _picker(np.cumsum(net.edge_rates) / net.total_rate)
+    last_edge = len(net.edge_rates) - 1
 
-    events, births = _births(net, times, picks, start, nodes)
-    if trace_path is not None:
-        _write_trace(trace_path, net, times, picks, events, births)
-
+    # the change log of each reported node: time 0, then every event that
+    # moves its birth, with its births
     pos = {v: k for k, v in enumerate(nodes)}
+    reported = sorted({v for members in columns for v in members})
+    log_times = {v: [np.zeros(1)] for v in reported}
+    log_births = {v: [start[v : v + 1]] for v in reported}
+    carry = start.copy()  # every solved node's birth after the blocks so far
+    block = _block_length(len(nodes))
+    with (
+        open(trace_path, "w", newline="")
+        if trace_path is not None
+        else contextlib.nullcontext()
+    ) as fh:
+        if fh is not None:
+            trace = csv.writer(fh)
+            trace.writerow(["event", "time", "edge"] + list(net.node_names))
+        for first in range(0, n_events, block):
+            t = times[first : first + block]
+            picks = pick(rng.random(len(t)))
+            np.clip(picks, 0, last_edge, out=picks)
+            events, births = _births(net, t, picks, carry, nodes)
+            if fh is not None:
+                _write_trace(trace, net, first, t, picks, events, births)
+            for v in reported:
+                ev, b = events[pos[v]], births[pos[v]]
+                moved = np.flatnonzero(b[1:] != b[:-1])
+                log_times[v].append(t[ev[moved]])
+                log_births[v].append(b[1:][moved])
+            carry[nodes] = [b[-1] for b in births]
 
-    def node_log(v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Time 0 and every event that moves node ``v``'s birth, with its births."""
-        ev, b = events[pos[v]], births[pos[v]]
-        moved = np.flatnonzero(b[1:] != b[:-1])
-        return np.concatenate(([0.0], times[ev[moved]])), np.concatenate(
-            (b[:1], b[1:][moved])
-        )
-
-    logs = [_subset_log([node_log(v) for v in members]) for members in columns]
+    for v in reported:
+        log_times[v] = np.concatenate(log_times[v])
+        log_births[v] = np.concatenate(log_births[v])
+    logs = [
+        _subset_log([(log_times[v], log_births[v]) for v in members])
+        for members in columns
+    ]
 
     events_used = kept_events(cfg)
     burn = n_events - events_used
@@ -436,15 +494,36 @@ def simulate(
     )
 
 
-def _check_window(res: SimResult) -> None:
+def _coupled_column(res: SimResult, v) -> int:
+    """The column of ``v``, once its kept window is known to be stationary.
+
+    Raises :class:`EmptyWindow` for a window without events, and
+    :class:`WindowNotCoupled` when the column's birth at the window start
+    is not above 0: then the column has not heard the source since the run
+    began, and its ages over the window still carry the initial ones.
+    """
     if res.window_length <= 0 or res.events_used <= 0:
         raise EmptyWindow("no events after burn-in")
+    k = res.node_index(v)
+    times, births = res.change_times[k], res.change_births[k]
+    t0 = res.window_start
+    if not births[np.searchsorted(times, t0, side="right") - 1] > 0.0:
+        heard = np.flatnonzero(births > 0.0)
+        first = f"at t = {times[heard[0]]:.6g}" if len(heard) else "never"
+        raise WindowNotCoupled(
+            f"the kept window of {res.node_names[k]} starts at t0 = {t0:.6g}, "
+            f"before it first hears the source ({first}), so its ages still "
+            "carry the initial ones; run more events"
+        )
+    return k
 
 
 def time_average(res: SimResult, v) -> float:
-    """Time-averaged age of node ``v`` over the kept window."""
-    _check_window(res)
-    return float(res.integral_age[res.node_index(v)] / res.window_length)
+    """Time-averaged age of node ``v`` over the kept window.
+
+    Raises :class:`WindowNotCoupled` when the window is not yet stationary.
+    """
+    return float(res.integral_age[_coupled_column(res, v)] / res.window_length)
 
 
 def check_batches(events_used: int) -> None:
@@ -475,21 +554,25 @@ def _batch_stderr(batch_means: np.ndarray) -> float:
 def time_average_stderr(res: SimResult, v) -> float:
     """Batch-means standard error of the time-averaged age.
 
-    Raises :class:`TooFewEvents` when the kept window holds fewer events
-    than there are batches, and :class:`IntegralUnderflow` when the batch
-    means' variance underflows.
+    Raises :class:`WindowNotCoupled` when the window is not yet
+    stationary, :class:`TooFewEvents` when it holds fewer events than there
+    are batches, and :class:`IntegralUnderflow` when the batch means'
+    variance underflows.
     """
-    _check_window(res)
+    k = _coupled_column(res, v)
     check_batches(res.events_used)
-    return _batch_stderr(res.batch_means[:, res.node_index(v)])
+    return _batch_stderr(res.batch_means[:, k])
 
 
 def violation_fraction(res: SimResult, v, d: float) -> float:
-    """Exact fraction of window time with age of ``v`` at or above ``d``."""
-    _check_window(res)
+    """Exact fraction of window time with age of ``v`` at or above ``d``.
+
+    Raises :class:`WindowNotCoupled` when the window is not yet stationary.
+    """
+    k = _coupled_column(res, v)
     d = float(d)
     if d not in res.occupancy:
         raise ThresholdNotRequested(
             f"threshold {d} was not requested at simulate time"
         )
-    return float(res.occupancy[d][res.node_index(v)] / res.window_length)
+    return float(res.occupancy[d][k] / res.window_length)

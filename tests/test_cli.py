@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -922,12 +923,48 @@ def test_bad_node_limit_setting_refused(capsys, tri_file, monkeypatch, value):
 
 
 def test_simulate_smallest_window_with_stderr(capsys, tri_file):
-    # 35 events keep 32 after the 10% burn-in: one per batch mean
+    # 35 events keep 32 after the 10% burn-in: one per batch mean; at seed 7
+    # every node has heard the source by the third event, where the window
+    # starts (test_simulate_refuses_a_window_before_the_source_is_heard)
     code, out, _ = run_cli(
-        capsys, "simulate", "--net", tri_file, "--events", "35", "--seed", "1"
+        capsys, "simulate", "--net", tri_file, "--events", "35", "--seed", "7"
     )
     assert code == 0
     assert all(r["stderr"] > 0 for r in rows_of(out))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--events", "35", "--seed", "1"],
+        # a window from time 0 holds the initial ages: never stationary
+        ["--events", "20000", "--seed", "1", "--burn-in", "0"],
+    ],
+)
+def test_simulate_refuses_a_window_before_the_source_is_heard(capsys, tri_file, argv):
+    code, out, err = run_cli(capsys, "simulate", "--net", tri_file, *argv)
+    assert code == 1 and out == ""
+    assert re.match(
+        r"error: the kept window of [svd] starts at t0 = \S+, before it first "
+        r"hears the source \(at t = \S+\)",
+        err,
+    )
+    if "--burn-in" in argv:
+        assert "t0 = 0," in err
+
+
+def test_compare_refuses_a_simulated_window_before_the_source_is_heard(
+    capsys, tmp_path
+):
+    path = tmp_path / "serial.json"
+    path.write_text(
+        net_json(1.0, "v0", [(f"v{i}", f"v{i + 1}", 1) for i in range(30)])
+    )
+    argv = ["--net", str(path), "--node", "v30", "--samples", "1000"]
+    code, out, err = run_cli(capsys, "compare", *argv, "--events", "300", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the kept window of v30 starts at t0 = ")
+    assert "(never)" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

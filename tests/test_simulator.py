@@ -1,7 +1,9 @@
 import csv
 import math
 import re
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ import pytest
 import aoinet as a
 from aoinet import errors
 from aoinet.network import ancestor_network
-from aoinet.simulator import _picks
+from aoinet.simulator import _picker, kept_events
 from conftest import (
     last_event_time,
     merged_log,
     merged_subset_values,
     random_ssn,
+    serial,
     triangle,
     triangle_chain,
     two_node,
@@ -67,10 +70,12 @@ def test_unrequested_threshold_raises(tri):
 
 def test_empty_window():
     net = two_node()
-    # burn-in keeps nothing only if window length is zero; force it with
-    # a single event and full-burn fraction just below 1
-    cfg = a.SimConfig(total_events=1, master_seed=6, burn_in_fraction=0.0)
+    # the smallest window keeps one event; d has heard the source by the end
+    # of the burn-in, so its mean is read.  A window without events cannot
+    # come out of a run, so a result with one is made by hand
+    cfg = a.SimConfig(total_events=10, master_seed=6, burn_in_fraction=0.9)
     res = a.simulate(net, cfg)
+    assert res.events_used == 1
     assert a.time_average(res, "d") > 0.0
     broken = a.SimResult(
         node_names=res.node_names,
@@ -319,16 +324,20 @@ def test_trace_file_closed_when_run_fails(tmp_path, tri, monkeypatch):
 
 
 def test_thin_window_refuses_stderr(tri):
-    # 3 kept events cannot fill the 32 batch means behind the stderr
-    res = a.simulate(tri, a.SimConfig(total_events=3, master_seed=17))
+    # 3 kept events cannot fill the 32 batch means behind the stderr; the
+    # long burn-in puts the window after every node first hears the source
+    thin_cfg = a.SimConfig(total_events=30, master_seed=17, burn_in_fraction=0.9)
+    res = a.simulate(tri, thin_cfg)
+    assert res.events_used == 3
     assert a.time_average(res, "d") > 0.0
     with pytest.raises(errors.TooFewEvents):
         a.time_average_stderr(res, "d")
     vd = tri.subset_mask(["v", "d"])
-    thin = a.simulate(tri, a.SimConfig(total_events=3, master_seed=17), target=vd)
+    thin = a.simulate(tri, thin_cfg, target=vd)
+    assert a.time_average(thin, 0) > 0.0
     with pytest.raises(errors.TooFewEvents):
         a.time_average_stderr(thin, 0)
-    cfg = a.SimConfig(total_events=32, master_seed=17, burn_in_fraction=0.0)
+    cfg = a.SimConfig(total_events=320, master_seed=17, burn_in_fraction=0.9)
     full = a.simulate(tri, cfg)
     assert full.events_used == 32
     assert a.time_average_stderr(full, "d") > 0.0
@@ -475,12 +484,50 @@ def test_node_index_refuses_what_names_no_column(tri, key):
         whole.node_index(3)
 
 
+def test_window_before_the_source_is_heard_refused():
+    # v40 ends a chain of 20 equal triangles, so its mean is 1 + 0.75 * 20
+    net = triangle_chain(1.0, [(1.0, 1.0, 1.0)] * 20)
+    v40 = net.subset_mask(["v40"])
+    early = run(net, 2000, 31, target=v40, thresholds=[1.0])
+    readers = (
+        lambda: a.time_average(early, 0),
+        lambda: a.time_average_stderr(early, 0),
+        lambda: a.violation_fraction(early, 0, 1.0),
+    )
+    for read in readers:
+        with pytest.raises(errors.WindowNotCoupled) as refused:
+            read()
+        heard = early.change_times[0][early.change_births[0] > 0][0]
+        assert str(refused.value) == (
+            f"the kept window of v40 starts at t0 = {early.window_start:.6g}, "
+            f"before it first hears the source (at t = {heard:.6g}), so its "
+            "ages still carry the initial ones; run more events"
+        )
+        assert early.window_start < heard
+    res = run(net, 200_000, 31, target=v40)
+    exact = a.average_age(net, v40)
+    assert exact == pytest.approx(16.0)
+    assert abs(a.time_average(res, 0) - exact) <= 4 * a.time_average_stderr(res, 0)
+
+
+def test_initial_ages_in_an_uncoupled_window_refused():
+    # v10 has not heard the source when the window starts, so its ages there
+    # are the initial 1e6 plus the time: the mean would read over 1e6
+    net = serial(1.0, [1.0] * 10)
+    old = {v: 1e6 for v in net.node_names}
+    cfg = a.SimConfig(total_events=60, master_seed=5, initial_ages=old)
+    res = a.simulate(net, cfg)
+    assert res.integral_age[res.node_index("v10")] / res.window_length > 1e6
+    with pytest.raises(errors.WindowNotCoupled, match=r"of v10 .*\(never\)"):
+        a.time_average(res, "v10")
+
+
 @pytest.mark.parametrize("thresholds", [[math.nan], [1.0, -1.0], [-0.5]])
 def test_meaningless_thresholds_refused(monkeypatch, tri, thresholds):
     def draw(*args):
         raise AssertionError("an event was drawn")
 
-    monkeypatch.setattr(a.simulator, "_picks", draw)
+    monkeypatch.setattr(a.simulator, "_picker", draw)
     cfg = a.SimConfig(total_events=100, master_seed=0)
     with pytest.raises(ValueError, match="non-negative"):
         a.simulate(tri, cfg, thresholds=thresholds)
@@ -509,6 +556,98 @@ def test_bucket_picks_equal_a_binary_search(n_edges):
         )
         u = u[(u >= 0.0) & (u < 1.0)]
         want = np.searchsorted(cum, u, side="right")
-        got = _picks(cum, u.copy())
+        got = _picker(cum)(u.copy())
         assert np.array_equal(got, want)
     assert want.max() == n_edges
+
+
+def same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_same_result(got, want):
+    # byte for byte, so signs of zero count too
+    assert got.node_names == want.node_names
+    assert got.window_start == want.window_start
+    assert got.window_length == want.window_length
+    assert got.events_used == want.events_used
+    assert same_bytes(got.integral_age, want.integral_age)
+    assert same_bytes(got.batch_means, want.batch_means)
+    assert got.occupancy.keys() == want.occupancy.keys()
+    for d in want.occupancy:
+        assert same_bytes(got.occupancy[d], want.occupancy[d])
+    assert len(got.change_times) == len(want.change_times)
+    for mine, theirs in zip(got.change_times, want.change_times):
+        assert same_bytes(mine, theirs)
+    for mine, theirs in zip(got.change_births, want.change_births):
+        assert same_bytes(mine, theirs)
+
+
+@pytest.mark.parametrize(
+    "name, labels, initial_ages",
+    [
+        ("r8", None, None),
+        ("r8", ["v0"], None),
+        ("r8", ["v6", "v7"], None),
+        ("tri", None, {"v": 3.0, "d": 0.5}),
+        ("tri", ["v", "d"], {"v": 3.0, "d": 0.5}),
+    ],
+)
+def test_blocks_are_invisible(tmp_path, monkeypatch, name, labels, initial_ages):
+    net = ORACLE_NETS[name]()
+    target = None if labels is None else net.subset_mask(labels)
+    cfg = a.SimConfig(total_events=1003, master_seed=41, initial_ages=initial_ages)
+    thresholds = (0.5, 2.0)
+    trace = {} if target is not None else {"trace_path": str(tmp_path / "one.csv")}
+    want = a.simulate(net, cfg, thresholds=thresholds, target=target, **trace)
+
+    sizes = []
+    solve = a.simulator._births
+
+    def counted(net, times, *args):
+        sizes.append(len(times))
+        return solve(net, times, *args)
+
+    monkeypatch.setattr(a.simulator, "_births", counted)
+    monkeypatch.setattr(a.simulator, "BLOCK_EVENTS", 5)
+    monkeypatch.setattr(a.simulator, "BLOCK_EVENTS_PER_NODE", 1)
+    if trace:
+        trace["trace_path"] = str(tmp_path / "blocks.csv")
+    got = a.simulate(net, cfg, thresholds=thresholds, target=target, **trace)
+    # many blocks, one edge inside the 100-event burn-in, a partial last one
+    assert sum(sizes) == 1003 and len(sizes) > 100
+    assert sizes[0] < 1003 - kept_events(cfg) and sizes[-1] < sizes[0]
+    assert_same_result(got, want)
+
+    # and both are the sequential update's logs, merged for a target
+    ref_times, ref_births = reference_run(net, cfg, str(tmp_path / "ref.csv"))
+    ref = SimpleNamespace(
+        change_times=ref_times,
+        change_births=ref_births,
+        node_index=net.index_of.__getitem__,
+    )
+    columns = [[v] for v in net.node_names] if target is None else [labels]
+    for k, members in enumerate(columns):
+        times, births = merged_log(ref, members)
+        assert same_bytes(got.change_times[k], np.asarray(times))
+        assert same_bytes(got.change_births[k], np.asarray(births))
+    if trace:
+        ref_trace = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "blocks.csv").read_bytes() == ref_trace
+        assert (tmp_path / "one.csv").read_bytes() == ref_trace
+
+
+def test_target_run_memory_does_not_grow_with_every_event():
+    # the blocks' arrays do not add up: what grows with the run is the event
+    # times and the target's change log (48.6 MiB when every event was
+    # solved at once)
+    net = random_ssn(8, 2024)
+    cfg = a.SimConfig(total_events=1_000_000, master_seed=1)
+    tracemalloc.start()
+    try:
+        a.simulate(net, cfg, target=net.subset_mask(["v7"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
