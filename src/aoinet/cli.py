@@ -243,7 +243,14 @@ def cmd_simulate(args):
     )
     if args.trace is not None:
         _output(args.trace).close()  # a bad path costs no run; simulate rewrites it
+    sim_mod.check_batches(sim_mod.kept_events(cfg))  # as compare, before the run
     res = sim_mod.simulate(net, cfg, thresholds=thresholds, trace_path=args.trace)
+    # a window that starts too early is refused for the node that hears the
+    # source last, so the error tells how long the whole run must be; a tie,
+    # as between nodes that never hear it, goes to the last in node order
+    nodes = reversed(range(net.n_user))
+    last = max(nodes, key=lambda k: sim_mod._first_heard(res, k))
+    sim_mod.time_average(res, last)
     rows = []
     for name in net.node_names:
         rows.append(

@@ -79,7 +79,3 @@ class TooFewEvents(AoiError):
 
 class ThresholdNotRequested(AoiError):
     pass
-
-
-class InvalidInitialAge(AoiError):
-    """An initial age names an unknown node, or is negative or not finite."""

@@ -14,8 +14,8 @@ virtual node always gets the highest index, so bitmasks over user nodes form
 a contiguous prefix.
 
 The engines share a few graph helpers: breadth-first order, in-edge lists,
-the nodes that reach a subset, and the ancestor network of a subset, on
-which one-target queries sample and simulate.  Sums over the edges that
+the nodes that reach a set of nodes, and the ancestor network of a subset,
+on which one-target queries sample and simulate.  Sums over the edges that
 enter a subset belong to the exact engine's cut plan.
 """
 
@@ -384,27 +384,24 @@ def reaching(
     return seen
 
 
-def ancestors(net: AugmentedNetwork, a: int) -> set[int]:
-    """The user nodes that reach subset ``a``, its own nodes included.
-
-    Raises as :func:`check_subset` for a bad subset.
-    """
-    check_subset(net, a)
-    kept = [v for v in range(net.n_user) if a >> v & 1]
-    return reaching(net, in_edges(net), kept, stop=net.theta_prime_index)
-
-
 def ancestor_network(net: AugmentedNetwork, a: int) -> AugmentedNetwork:
     """The network induced by the user nodes that reach subset ``a``.
 
     A path into ``a`` uses only edges into these nodes, so the subset's age
     law is unchanged.  Labels, rates, lambda and the virtual edge are kept,
-    so every edge keeps its ``edge_key``; node indices are renumbered.  Every
-    kept node is reachable from the source through kept nodes, so the
-    result is a valid network.  ``net``'s edges are merged already, so
-    validating the induced network warns nothing.
+    so every edge keeps its ``edge_key``; node indices are renumbered in
+    their order in ``net``.  Every kept node is reachable from the source
+    through kept nodes, so the result is a valid network.  ``net``'s edges
+    are merged already, so validating the induced network warns nothing.
+    When every node reaches ``a``, the result is ``net`` itself.  Raises as
+    :func:`check_subset` for a bad subset.
     """
-    names = {net.node_names[v] for v in ancestors(net, a)}
+    check_subset(net, a)
+    kept = [v for v in range(net.n_user) if a >> v & 1]
+    kept = reaching(net, in_edges(net), kept, stop=net.theta_prime_index)
+    if len(kept) == net.n_user:
+        return net
+    names = {net.node_names[v] for v in kept}
     spec = net.base
     return validate_ssn(
         NetworkSpec(

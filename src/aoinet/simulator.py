@@ -26,22 +26,24 @@ reports; the logs are integrated after the last block, so every value is
 the one a single block would give, bit for bit.
 
 A run for one target subset (``simulate(..., target=mask)``, as ``compare``
-makes) draws the same event stream, but solves births only for the nodes
-that reach the target: the events into them are the only ones whose values
-can arrive there.  It reports one column, the target's own age: the subset's
-age is the minimum over its nodes, so its birth is the maximum of theirs,
-and its change log merges theirs.  A whole-network run reports one column
+makes) draws the same event stream, but solves the target's ancestor network
+(:func:`~aoinet.network.ancestor_network`, the network ``sample_subset``
+samples): the events into its nodes are the only ones whose values can
+arrive at the target, so every other event is dropped before it is solved.
+It reports one column, the target's own age: the subset's age is the
+minimum over its nodes, so its birth is the maximum of theirs, and its
+change log merges theirs.  A whole-network run reports one column
 per node, each merged from that node alone, so both kinds of run integrate
 through the same step, and the target run's values are bit-identical to
 the same merge of the whole run's logs.  Independent runs with different
 seeds may execute in parallel.  Results are immutable.
 
-The readers refuse a column whose kept window starts before it first hears
-the source (:class:`~aoinet.errors.WindowNotCoupled`): births combine by
-max, and only packets of the run have births above 0, so a column whose
-birth at the window start is above 0 follows the stationary trajectory
-whatever the initial ages were, and one whose birth is not still carries
-them.
+Every run starts from zero ages.  The readers refuse a column whose kept
+window starts before it first hears the source
+(:class:`~aoinet.errors.WindowNotCoupled`): births combine by max, and only
+packets of the run have births above 0, so a column whose birth at the
+window start is above 0 follows the stationary trajectory whatever the
+start ages were, and one whose birth is not still carries them.
 """
 
 from __future__ import annotations
@@ -59,12 +61,11 @@ from .errors import (
     EmptyWindow,
     IntegralOverflow,
     IntegralUnderflow,
-    InvalidInitialAge,
     ThresholdNotRequested,
     TooFewEvents,
     WindowNotCoupled,
 )
-from .network import AugmentedNetwork, ancestors, bfs_order
+from .network import AugmentedNetwork, ancestor_network, bfs_order
 
 N_BATCHES = 32  # batch-means error bars over the post-burn-in window
 # a block solves at least BLOCK_EVENTS events, and BLOCK_EVENTS_PER_NODE per
@@ -78,7 +79,6 @@ class SimConfig:
     total_events: int
     master_seed: int
     burn_in_fraction: float = 0.1
-    initial_ages: dict[str, float] | None = None  # default: all zero
 
     def __post_init__(self):
         if self.total_events < 1:
@@ -175,26 +175,6 @@ def _integrate(
     return integral, occupancy, batch_means
 
 
-def _start_births(net: AugmentedNetwork, initial_ages) -> np.ndarray:
-    """Each node's birth at time 0: minus its initial age (default 0)."""
-    ages = np.zeros(net.n_user)
-    for name, a0 in (initial_ages or {}).items():
-        if name not in net.index_of:
-            raise InvalidInitialAge(f"initial age given for unknown node {name!r}")
-        try:
-            a0 = float(a0)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInitialAge(
-                f"initial age of {name!r} must be a number, got {a0!r}"
-            ) from exc
-        if not (math.isfinite(a0) and a0 >= 0.0):
-            raise InvalidInitialAge(
-                f"initial age of {name!r} must be finite and >= 0, got {a0}"
-            )
-        ages[net.index_of[name]] = a0
-    return -ages
-
-
 def _picker(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """``u -> np.searchsorted(cum, u, side="right")`` for ``u`` in [0, 1), overwriting ``u``.
 
@@ -228,24 +208,20 @@ def _births(
     times: np.ndarray,
     picks: np.ndarray,
     start: np.ndarray,
-    nodes: list[int],
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each of ``nodes``' births after each event it receives, as a monotone fixpoint.
+    """Every user node's births after each event it receives, as a monotone fixpoint.
 
-    ``nodes`` are ascending user-node indices that include every user-node
-    tail of an edge into them (all nodes, or the nodes that reach a
-    target); the events into other nodes carry nothing into them and are
-    dropped.  Returns ``(events, births)``: ``events[k]`` holds the sorted
-    indices of the events on edges into ``nodes[k]``, and ``births[k][j]``
-    is its birth after the first ``j`` of them (``births[k][0] =
-    start[nodes[k]]``).  A ring of edge (u, v) sets v's birth to the larger
-    of u's and v's; a ring of the virtual edge sets the source's birth to
-    the event time, which is the larger one because start births are no
-    later than the events: at most 0, or births an earlier block left.
-    So each value is the running maximum of v's start birth and its
-    incoming values, and an incoming value is the tail's birth just before
-    the event.  The source hears only the virtual edge, so its births are
-    its event times.
+    Event i rings edge ``picks[i]`` of ``net`` at ``times[i]``.  Returns
+    ``(events, births)``: ``events[v]`` holds the sorted indices of the
+    events on edges into node v, and ``births[v][j]`` is its birth after
+    the first ``j`` of them (``births[v][0] = start[v]``).  A ring of edge
+    (u, v) sets v's birth to the larger of u's and v's; a ring of the
+    virtual edge sets the source's birth to the event time, which is the
+    larger one because start births are no later than the events: 0, or
+    births an earlier block left.  So each value is the running maximum of
+    v's start birth and its incoming values, and an incoming value is the
+    tail's birth just before the event.  The source hears only the virtual
+    edge, so its births are its event times.
 
     All other births start at their start value, a lower bound.  Sweeps
     over the nodes in breadth-first order recompute each node's running
@@ -254,22 +230,13 @@ def _births(
     and any exact evaluation order gives it bit for bit.  A value travels
     from a reset along a path that never repeats a node (a revisited node
     already held it), so after sweep k every value carried by a path of k
-    edges is final: at most ``len(nodes)`` sweeps change something, and one
-    more confirms.
+    edges is final: at most ``net.n_user`` sweeps change something, and
+    one more confirms.
     """
-    n = len(nodes)
-    # nodes[k] is k; the virtual node, and as a head any other node, is n
-    slot = [n] * net.n_aug
-    for k, v in enumerate(nodes):
-        slot[v] = k
+    n = net.n_user  # user nodes are 0..n-1, and the virtual node, a tail only, is n
     key = np.min_scalar_type(n)  # small keys, so numpy radix-sorts them
-    heads = np.array([slot[v] for v in net.edge_heads], dtype=key)[picks]
-    tails = np.array([slot[u] for u in net.edge_tails], dtype=key)[picks]
-    ids = None  # the indices of the kept events, when some are dropped
-    if n < net.n_user:
-        ids = np.flatnonzero(heads < n)
-        heads = heads[ids]
-        tails = tails[ids]
+    heads = np.array(net.edge_heads, dtype=key)[picks]
+    tails = np.array(net.edge_tails, dtype=key)[picks]
     by_head = np.argsort(heads, kind="stable")
     counts = np.bincount(heads, minlength=n)
     first = np.concatenate(([0], np.cumsum(counts))).tolist()
@@ -277,15 +244,13 @@ def _births(
 
     # One flat state of every node's births, node v's from base[v] on.
     base = [first[v] + v for v in range(n)]
-    start = start[nodes]
     state = np.repeat(start, counts + 1)
     births = [state[base[v] : base[v] + 1 + len(events[v])] for v in range(n)]
     # the event times increase, so the source's births need no running max
-    source = slot[net.source_index]
-    ev = events[source] if ids is None else ids[events[source]]
-    np.maximum(times[ev], start[source], out=births[source][1:])
+    source = net.source_index
+    np.maximum(times[events[source]], start[source], out=births[source][1:])
 
-    # src[i] is the slot of the value that kept event i carries: its tail's
+    # src[i] is the slot of the value that event i carries: its tail's
     # birth just before the event (unset for the virtual edge's events)
     src = np.empty(len(heads), dtype=np.intp)
     by_tail = np.argsort(tails, kind="stable")
@@ -299,17 +264,12 @@ def _births(
 
     tails_of = [set() for _ in range(n)]
     for u, v in zip(net.edge_tails, net.edge_heads):
-        if slot[v] < n:
-            tails_of[slot[v]].add(slot[u])
+        tails_of[v].add(u)
     # step of the last change of each node and of its last evaluation
     changed = [0] * n
     evaluated = [-1] * n
     step = 0
-    order = [
-        slot[v]
-        for v in bfs_order(net)
-        if slot[v] < n and slot[v] != source and len(events[slot[v]])
-    ]
+    order = [v for v in bfs_order(net) if v < n and v != source and len(events[v])]
     buf = np.empty(counts.max())
     moved = True
     while moved:
@@ -327,8 +287,6 @@ def _births(
                 births[v][1:] = x
                 changed[v] = step
                 moved = True
-    if ids is not None:
-        events = [ids[ev] for ev in events]
     return events, births
 
 
@@ -398,28 +356,36 @@ def simulate(
     a negative or NaN one raises :class:`ValueError` before any event is
     drawn.  ``trace_path`` receives one CSV row per event with every node's
     age.  With a ``target`` subset mask, the same events are drawn, but only
-    the nodes that reach the target are solved, and the result has one
-    column, the target's age (its nodes' minimum).  A target cannot be
-    combined with a trace, which lists every node (:class:`ValueError`); a
-    bad target is refused as by :func:`~aoinet.network.ancestors`.  Raises
-    :class:`InvalidInitialAge` for an initial age of an unknown node or one
-    that is negative or not finite.
+    the events into the target's ancestor network are solved, on that
+    network, and the result has one column, the target's age (its nodes'
+    minimum).  A target cannot be combined with a trace, which lists every
+    node (:class:`ValueError`); a bad target is refused by
+    :func:`~aoinet.network.ancestor_network`.  Every node starts at age 0.
     """
     thresholds = tuple(float(d) for d in thresholds)
     if not all(d >= 0.0 for d in thresholds):  # NaN too
         raise ValueError(f"thresholds must be non-negative, got {thresholds}")
     n_events = cfg.total_events
-    start = _start_births(net, cfg.initial_ages)
     if target is None:
-        nodes = list(range(net.n_user))
-        columns = [[v] for v in nodes]
+        solved = net
+        columns = [[v] for v in range(net.n_user)]
         names = net.node_names
     else:
         if trace_path is not None:
             raise ValueError("a trace lists every node; it cannot have a target")
-        nodes = sorted(ancestors(net, target))
-        columns = [[v for v in nodes if target >> v & 1]]
+        solved = ancestor_network(net, target)
+        columns = [[solved.index_of[x] for x in net.subset_labels(target)]]
         names = (net.subset_name(target),)
+    # an event on an edge of net is solved on the same edge of solved, or
+    # dropped when solved lacks it: its head does not reach the target
+    edge_of = None
+    if solved is not net:
+        kept = {solved.edge_key(e): e for e in range(len(solved.edge_rates))}
+        dropped = len(solved.edge_rates)
+        edge_of = np.array(
+            [kept.get(net.edge_key(e), dropped) for e in range(len(net.edge_rates))],
+            dtype=np.min_scalar_type(dropped),
+        )
     rng = np.random.default_rng(cfg.master_seed)
 
     # every gap comes before every uniform in the stream, so the times are
@@ -430,13 +396,13 @@ def simulate(
     last_edge = len(net.edge_rates) - 1
 
     # the change log of each reported node: time 0, then every event that
-    # moves its birth, with its births
-    pos = {v: k for k, v in enumerate(nodes)}
+    # moves its birth, with its births.  A birth is minus an age, so every
+    # node starts at -0.0
     reported = sorted({v for members in columns for v in members})
     log_times = {v: [np.zeros(1)] for v in reported}
-    log_births = {v: [start[v : v + 1]] for v in reported}
-    carry = start.copy()  # every solved node's birth after the blocks so far
-    block = _block_length(len(nodes))
+    log_births = {v: [np.full(1, -0.0)] for v in reported}
+    carry = np.full(solved.n_user, -0.0)  # every birth after the blocks so far
+    block = _block_length(solved.n_user)
     with (
         open(trace_path, "w", newline="")
         if trace_path is not None
@@ -449,15 +415,19 @@ def simulate(
             t = times[first : first + block]
             picks = pick(rng.random(len(t)))
             np.clip(picks, 0, last_edge, out=picks)
-            events, births = _births(net, t, picks, carry, nodes)
+            if edge_of is not None:
+                picks = edge_of.take(picks)
+                into = picks != dropped
+                t, picks = t.compress(into), picks.compress(into)
+            events, births = _births(solved, t, picks, carry)
             if fh is not None:
                 _write_trace(trace, net, first, t, picks, events, births)
             for v in reported:
-                ev, b = events[pos[v]], births[pos[v]]
+                ev, b = events[v], births[v]
                 moved = np.flatnonzero(b[1:] != b[:-1])
                 log_times[v].append(t[ev[moved]])
                 log_births[v].append(b[1:][moved])
-            carry[nodes] = [b[-1] for b in births]
+            carry[:] = [b[-1] for b in births]
 
     for v in reported:
         log_times[v] = np.concatenate(log_times[v])
@@ -494,22 +464,29 @@ def simulate(
     )
 
 
+def _first_heard(res: SimResult, k: int) -> float:
+    """When column ``k`` first hears the source, or ``inf`` if it never does.
+
+    That is its first change to a birth above 0; its births never decrease.
+    """
+    i = np.searchsorted(res.change_births[k], 0.0, side="right")
+    return float(res.change_times[k][i]) if i < len(res.change_times[k]) else math.inf
+
+
 def _coupled_column(res: SimResult, v) -> int:
     """The column of ``v``, once its kept window is known to be stationary.
 
     Raises :class:`EmptyWindow` for a window without events, and
-    :class:`WindowNotCoupled` when the column's birth at the window start
-    is not above 0: then the column has not heard the source since the run
-    began, and its ages over the window still carry the initial ones.
+    :class:`WindowNotCoupled` when the column first hears the source after
+    the window starts: until then its ages still carry the start ones.
     """
     if res.window_length <= 0 or res.events_used <= 0:
         raise EmptyWindow("no events after burn-in")
     k = res.node_index(v)
-    times, births = res.change_times[k], res.change_births[k]
     t0 = res.window_start
-    if not births[np.searchsorted(times, t0, side="right") - 1] > 0.0:
-        heard = np.flatnonzero(births > 0.0)
-        first = f"at t = {times[heard[0]]:.6g}" if len(heard) else "never"
+    heard = _first_heard(res, k)
+    if heard > t0:
+        first = "never" if heard == math.inf else f"at t = {heard:.6g}"
         raise WindowNotCoupled(
             f"the kept window of {res.node_names[k]} starts at t0 = {t0:.6g}, "
             f"before it first hears the source ({first}), so its ages still "

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import aoinet as a
-from aoinet import cli, sampler
+from aoinet import cli, errors, sampler
 from aoinet.cli import main
 from conftest import merged_subset_values, net_json, random_ssn
 
@@ -951,6 +951,60 @@ def test_simulate_refuses_a_window_before_the_source_is_heard(capsys, tri_file, 
     )
     if "--burn-in" in argv:
         assert "t0 = 0," in err
+
+
+def test_simulate_refuses_too_few_events_before_the_run(capsys, monkeypatch, tri_file):
+    # 34 events keep 31 after the 10% burn-in, one short of a batch each:
+    # refused as compare refuses them, before any event is drawn
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before the event count was checked")
+
+    monkeypatch.setattr(a.simulator, "simulate", no_run)
+    argv = ["--net", tri_file, "--events", "34", "--seed", "1"]
+    assert run_cli(capsys, "simulate", *argv) == (
+        1,
+        "",
+        "error: 31 events after burn-in cannot support a stderr from 32 batch "
+        "means; keep at least 32\n",
+    )
+
+
+def test_simulate_refusal_names_the_node_that_hears_the_source_last(
+    capsys, tmp_path
+):
+    # v0 first hears the source after the window starts, and v299 never
+    # does: the error names v299, the node that sets how long the run must be
+    path = tmp_path / "serial.json"
+    path.write_text(
+        net_json(1.0, "v0", [(f"v{i}", f"v{i + 1}", 1) for i in range(299)])
+    )
+    argv = ["--net", str(path), "--events", "2000", "--seed", "1"]
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the kept window of v299 starts at t0 = ")
+    assert "(never)" in err and "Traceback" not in err
+    res = a.simulate(
+        a.validate_ssn(a.parse_network(path.read_text())),
+        a.SimConfig(total_events=2000, master_seed=1),
+    )
+    with pytest.raises(errors.WindowNotCoupled, match=r"of v0 .*\(at t = "):
+        a.time_average(res, "v0")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_simulate_refusal_names_the_latest_first_hearing(capsys, tri_file, seed):
+    argv = ["--net", tri_file, "--events", "35", "--seed", str(seed)]
+    code, _, err = run_cli(capsys, "simulate", *argv)
+    assert code == 1
+    net = a.validate_ssn(a.parse_network(Path(tri_file).read_text()))
+    res = a.simulate(net, a.SimConfig(total_events=35, master_seed=seed))
+    heard = {
+        name: t[b > 0][0]
+        for name, t, b in zip(res.node_names, res.change_times, res.change_births)
+    }
+    last = max(heard, key=heard.get)
+    assert err.startswith(f"error: the kept window of {last} starts at t0 = ")
+    assert f"(at t = {heard[last]:.6g})" in err
 
 
 def test_compare_refuses_a_simulated_window_before_the_source_is_heard(
